@@ -67,8 +67,9 @@ type Machine struct {
 	topo *costmodel.Topology
 	// inflight marks a pending asynchronous operation (IndexAsync and
 	// friends): a second Async call before the first Handle's Wait is
-	// rejected. Blocking calls are not guarded — the Machine's
-	// no-concurrent-use contract already covers them.
+	// rejected. A blocking call that reaches the simulator while the
+	// operation is still executing fails with ErrRunInProgress (the
+	// engine's run-ownership guard).
 	inflight atomic.Bool
 }
 
@@ -105,6 +106,13 @@ const (
 	// perturbation. Configure it with WithChaos.
 	BackendChaos = mpsim.BackendChaos
 )
+
+// ErrRunInProgress is returned by an operation that needs the
+// Machine's simulator while another operation is still executing on it
+// — for example a blocking IndexFlat issued before an IndexAsync
+// Handle's Wait. The rejected call has no effect; test for it with
+// errors.Is.
+var ErrRunInProgress = mpsim.ErrRunInProgress
 
 // ChaosConfig configures the chaos transport: the wrapped inner
 // backend, the jitter seed and ceiling, and the straggler set. The zero
@@ -773,9 +781,10 @@ func (m *Machine) ConcatFlat(in, out *Buffers, opts ...CollectiveOption) (*Repor
 // Handle is the completion handle of a non-blocking collective
 // (IndexAsync, ConcatAsync, AllReduceAsync). Exactly one operation may
 // be in flight per Machine; the operation owns its input and output
-// buffers until Wait (or a true Test) — touching them earlier, or
-// starting any other operation on the Machine, races with the running
-// schedule. Execution errors — including the engine's deadlock-watchdog
+// buffers until Wait (or a true Test) — touching them earlier races
+// with the running schedule, and any other operation started on the
+// Machine meanwhile fails with ErrRunInProgress once it reaches the
+// simulator. Execution errors — including the engine's deadlock-watchdog
 // fencing, identical to the blocking path's — surface on Wait.
 type Handle struct {
 	done chan struct{}

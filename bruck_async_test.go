@@ -9,6 +9,7 @@ package bruck
 // fresh transport exactly like a blocking one.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -245,5 +246,62 @@ func TestAsyncSurvivesFencedRun(t *testing.T) {
 	}
 	if !out2.Equal(out1) {
 		t.Fatal("post-fence async execution produced different bytes")
+	}
+}
+
+// TestRunGuardBlockingDuringAsync: a blocking IndexFlat issued while an
+// IndexAsync is still executing must not share the engine. Whichever
+// of the two reaches the simulator second fails at once with
+// ErrRunInProgress (exact text, on the blocking return or on Wait) and
+// the other completes with the correct transpose. Chaos delays stretch
+// each run to milliseconds so the two always overlap.
+func TestRunGuardBlockingDuringAsync(t *testing.T) {
+	const n, b = 8, 16
+	m := MustNewMachine(n, WithChaos(ChaosConfig{Seed: 5, MaxDelay: 2 * time.Millisecond}))
+	in := NewBuffersOrDie(t, n, n, b)
+	fillIndexInput(in, 9)
+	want := NewBuffersOrDie(t, n, n, b)
+	if _, err := m.IndexFlat(in, want, WithRadix(2)); err != nil {
+		t.Fatal(err)
+	}
+	rejected := 0
+	for iter := 0; iter < 8; iter++ {
+		aout := NewBuffersOrDie(t, n, n, b)
+		bout := NewBuffersOrDie(t, n, n, b)
+		h, err := m.IndexAsync(in, aout, WithRadix(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, berr := m.IndexFlat(in, bout, WithRadix(2))
+		_, aerr := h.Wait()
+		if aerr != nil && berr != nil {
+			t.Fatalf("iter %d: both operations failed: async %v, blocking %v", iter, aerr, berr)
+		}
+		for _, op := range []struct {
+			name string
+			err  error
+			out  *Buffers
+		}{{"async", aerr, aout}, {"blocking", berr, bout}} {
+			switch {
+			case op.err == nil:
+				if !op.out.Equal(want) {
+					t.Fatalf("iter %d: %s operation completed with wrong bytes", iter, op.name)
+				}
+			case !errors.Is(op.err, ErrRunInProgress):
+				t.Fatalf("iter %d: %s operation failed with %v, want ErrRunInProgress", iter, op.name, op.err)
+			case op.err.Error() != "mpsim: engine is already executing a run; runs on one engine must not overlap":
+				t.Fatalf("iter %d: %s error text %q", iter, op.name, op.err)
+			default:
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no overlapping run was rejected; the guard was never exercised")
+	}
+	// The guard leaves no residue: the machine runs normally afterwards.
+	out := NewBuffersOrDie(t, n, n, b)
+	if _, err := m.IndexFlat(in, out, WithRadix(2)); err != nil || !out.Equal(want) {
+		t.Fatalf("machine unusable after rejected overlaps: %v", err)
 	}
 }

@@ -587,3 +587,46 @@ func TestLegacyEntryPointsStillCorrect(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanReuseSteadyStateAllocs pins the plan-reuse fast path: once
+// the engine's Procs, their round scratch and the buffer pools are
+// warm, a radix-2 index Plan.Execute allocates a constant handful of
+// objects (the run's Metrics and Result) whatever the machine width —
+// the per-rank goroutines, closures and scratch slices of earlier
+// engines grew with n.
+func TestPlanReuseSteadyStateAllocs(t *testing.T) {
+	const blockLen, runs = 32, 10
+	allocs := map[int]float64{}
+	for _, n := range []int{16, 64} {
+		m := MustNewMachine(n)
+		pl, err := m.CompileIndex(blockLen, WithRadix(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := NewBuffersOrDie(t, n, n, blockLen)
+		fillIndexInput(in, n)
+		out := NewBuffersOrDie(t, n, n, blockLen)
+		if _, err := pl.Execute(in, out); err != nil {
+			t.Fatal(err)
+		}
+		var opErr error
+		allocs[n] = testing.AllocsPerRun(runs, func() {
+			if _, err := pl.Execute(in, out); err != nil {
+				opErr = err
+			}
+		})
+		if opErr != nil {
+			t.Fatal(opErr)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if !bytes.Equal(out.Block(i, j), in.Block(j, i)) {
+					t.Fatalf("n=%d: block (%d,%d) is not the transpose", n, i, j)
+				}
+			}
+		}
+	}
+	if allocs[16] != allocs[64] {
+		t.Errorf("plan-reuse index allocates %.0f/op at n=16 but %.0f/op at n=64; want independent of n", allocs[16], allocs[64])
+	}
+}

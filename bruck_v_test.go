@@ -348,10 +348,10 @@ func TestIndexVShapeErrors(t *testing.T) {
 }
 
 // TestIndexVFlatSteadyStateAllocs pins the uniform fast path to its
-// pre-refactor allocation numbers (measured 125 allocs/op for IndexFlat
-// and 124 for ConcatFlat at this configuration before the Layout
-// refactor; small headroom absorbs scheduler jitter) and bounds the
-// ragged steady state relative to the uniform one.
+// measured allocation numbers (9 allocs/op for IndexFlat and 8 for
+// ConcatFlat at this configuration, with reused engine Procs and their
+// round scratch; small headroom absorbs scheduler jitter) and bounds
+// the ragged steady state relative to the uniform one.
 func TestIndexVFlatSteadyStateAllocs(t *testing.T) {
 	const n, blockLen, runs = 16, 128, 10
 	m := MustNewMachine(n)
@@ -368,8 +368,8 @@ func TestIndexVFlatSteadyStateAllocs(t *testing.T) {
 	if opErr != nil {
 		t.Fatal(opErr)
 	}
-	if flat > 130 {
-		t.Errorf("uniform IndexFlat fast path allocates %.0f/op, pre-refactor pin is 125 (+ headroom 130)", flat)
+	if flat > 11 {
+		t.Errorf("uniform IndexFlat fast path allocates %.0f/op, pin is 9 (+ headroom 11)", flat)
 	}
 
 	cin, _ := NewConcatBuffers(n, blockLen)
@@ -383,8 +383,8 @@ func TestIndexVFlatSteadyStateAllocs(t *testing.T) {
 	if opErr != nil {
 		t.Fatal(opErr)
 	}
-	if cflat > 129 {
-		t.Errorf("uniform ConcatFlat fast path allocates %.0f/op, pre-refactor pin is 124 (+ headroom 129)", cflat)
+	if cflat > 10 {
+		t.Errorf("uniform ConcatFlat fast path allocates %.0f/op, pin is 8 (+ headroom 10)", cflat)
 	}
 
 	// The ragged steady state reuses the same pooled machinery; allow a

@@ -140,16 +140,22 @@ func (pl *Plan) checkIndexRoundShape(n, k int, add func(string, ...any)) {
 				add("round %d: duplicate offset %d (two messages to one partner in one round)", i, x.offset)
 			}
 			seen[x.offset] = true
-			if want := len(x.blocks) * pl.blockLen; x.bytes != want {
+			ids := x.blockIDs()
+			if want := len(ids) * pl.blockLen; x.bytes != want {
 				add("round %d transfer %d: %d blocks of %d account for %d bytes, transfer says %d",
-					i, xi, len(x.blocks), pl.blockLen, want, x.bytes)
+					i, xi, len(ids), pl.blockLen, want, x.bytes)
 			}
-			for bi, b := range x.blocks {
+			for _, r := range x.runs {
+				if r.count < 1 {
+					add("round %d transfer %d: empty block run at %d", i, xi, r.first)
+				}
+			}
+			for bi, b := range ids {
 				if b < 0 || b >= n {
 					add("round %d transfer %d: block %d outside working region of %d", i, xi, b, n)
 				}
-				if bi > 0 && b <= x.blocks[bi-1] {
-					add("round %d transfer %d: blocks not ascending: %v", i, xi, x.blocks)
+				if bi > 0 && b <= ids[bi-1] {
+					add("round %d transfer %d: blocks not ascending: %v", i, xi, ids)
 					break
 				}
 			}
@@ -237,13 +243,14 @@ func (pl *Plan) simulateIndex(n int, add func(string, ...any)) {
 		for r := 0; r < n; r++ {
 			next[r] = append([]blk(nil), work[r]...)
 		}
-		for me := 0; me < n; me++ {
-			for _, x := range rd.xfers {
-				if x.offset <= 0 || x.offset >= n {
-					return // shape violation already reported
-				}
+		for _, x := range rd.xfers {
+			if x.offset <= 0 || x.offset >= n {
+				return // shape violation already reported
+			}
+			ids := x.blockIDs()
+			for me := 0; me < n; me++ {
 				src := intmath.Mod(me-x.offset, n)
-				for _, j := range x.blocks {
+				for _, j := range ids {
 					if j < 0 || j >= n {
 						return
 					}

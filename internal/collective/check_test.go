@@ -93,6 +93,16 @@ func TestCheckCleanPlans(t *testing.T) {
 	}
 }
 
+// dropLastBlock returns a copy of runs without its last block id.
+func dropLastBlock(runs []blockRun) []blockRun {
+	out := append([]blockRun(nil), runs...)
+	last := &out[len(out)-1]
+	if last.count--; last.count == 0 {
+		out = out[:len(out)-1]
+	}
+	return out
+}
+
 // TestCheckPerturbations mutates compiled plan tables the ways a
 // miscompiled schedule would drift and asserts Check rejects each one
 // with a violation naming the break.
@@ -110,7 +120,7 @@ func TestCheckPerturbations(t *testing.T) {
 			base: bruck,
 			mutate: func(pl *Plan) {
 				rd := &pl.rounds[0]
-				rd.xfers = append(rd.xfers, indexXfer{offset: 3, bytes: pl.blockLen, blocks: []int{0}}, indexXfer{offset: 5, bytes: pl.blockLen, blocks: []int{1}})
+				rd.xfers = append(rd.xfers, indexXfer{offset: 3, bytes: pl.blockLen, runs: []blockRun{{0, 1}}}, indexXfer{offset: 5, bytes: pl.blockLen, runs: []blockRun{{1, 1}}})
 			},
 			wantSub: "k-port",
 		},
@@ -119,7 +129,7 @@ func TestCheckPerturbations(t *testing.T) {
 			base: bruck,
 			mutate: func(pl *Plan) {
 				x := &pl.rounds[0].xfers[0]
-				x.blocks = x.blocks[:len(x.blocks)-1]
+				x.runs = dropLastBlock(x.runs)
 			},
 			wantSub: "bytes",
 		},
@@ -128,8 +138,8 @@ func TestCheckPerturbations(t *testing.T) {
 			base: bruck,
 			mutate: func(pl *Plan) {
 				x := &pl.rounds[0].xfers[0]
-				x.blocks = x.blocks[:len(x.blocks)-1]
-				x.bytes = len(x.blocks) * pl.blockLen
+				x.runs = dropLastBlock(x.runs)
+				x.bytes = x.blockCount() * pl.blockLen
 				pl.c2 = 0
 				for _, rd := range pl.rounds {
 					m := 0
@@ -168,7 +178,7 @@ func TestCheckPerturbations(t *testing.T) {
 			base: bruck,
 			mutate: func(pl *Plan) {
 				rd := &pl.rounds[0]
-				rd.xfers = append(rd.xfers, indexXfer{offset: rd.xfers[0].offset, bytes: pl.blockLen, blocks: []int{0}})
+				rd.xfers = append(rd.xfers, indexXfer{offset: rd.xfers[0].offset, bytes: pl.blockLen, runs: []blockRun{{0, 1}}})
 			},
 			wantSub: "duplicate offset",
 		},

@@ -47,6 +47,22 @@
 // block size) so repeated configurations — the public Machine API
 // routes everything through a cache — compile exactly once.
 //
+// # Bruck replay
+//
+// Every Bruck-family round table — fixed-size, mixed-radix, layout
+// (IndexV) and the ReduceBruck reduce-scatter phase — replays through
+// one executor. A compiled transfer lists its blocks as runs of
+// consecutive working-region ids, and a run's blocks are adjacent in
+// the working region, so packing and unpacking cost one copy per run
+// (radix 2 at n = 256 packs 255 runs per rank where a per-block loop
+// copied 1024 blocks). Payloads move by ownership transfer
+// (mpsim.Proc.ExchangeOwned): the packed pool buffer itself travels,
+// and the receiver unpacks and recycles it, so each message costs two
+// copies — pack and unpack — and no more. An unsegmented plan is the
+// one-segment case of the pipelined replay below; its round scratch
+// lives on the engine's Proc (mpsim.Proc.RoundScratch), so a warm
+// replay allocates nothing.
+//
 // # Pipelined (segmented) plans
 //
 // IndexOptions.Segments and ReduceOptions.Segments pipeline the packed
@@ -93,6 +109,9 @@
 // (or a true Test), execution errors including watchdog fencing surface
 // on Wait — are documented on bruck.Handle and statically enforced by
 // the planlife analyzer (discarded handles, resubmission before Wait).
+// The engine enforces the first rule at run time as well: a blocking
+// call that reaches the engine while the operation is still executing
+// fails with mpsim.ErrRunInProgress.
 //
 // # Ragged layouts
 //

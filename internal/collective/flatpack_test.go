@@ -38,11 +38,12 @@ func TestCompiledRoundsMatchSelectDigit(t *testing.T) {
 				}
 				x := rounds[ri].xfers[0]
 				ids := blocks.SelectDigit(n, r, pos, z)
-				if x.offset != z*dist || x.bytes != len(ids)*b || len(x.blocks) != len(ids) {
+				got := x.blockIDs()
+				if x.offset != z*dist || x.bytes != len(ids)*b || len(got) != len(ids) {
 					return false
 				}
 				for i, id := range ids {
-					if x.blocks[i] != id {
+					if got[i] != id {
 						return false
 					}
 				}
@@ -92,13 +93,14 @@ func TestCompiledMixedRoundsMatchSelectAt(t *testing.T) {
 		for z := 1; z < h; z++ {
 			ids := blocks.SelectAt(n, weight, r, z)
 			x := rounds[ri].xfers[0]
-			if x.offset != z*weight || len(x.blocks) != len(ids) {
+			got := x.blockIDs()
+			if x.offset != z*weight || len(got) != len(ids) {
 				t.Fatalf("round %d: offset %d blocks %v, want offset %d blocks %v",
-					ri, x.offset, x.blocks, z*weight, ids)
+					ri, x.offset, got, z*weight, ids)
 			}
 			for i, id := range ids {
-				if x.blocks[i] != id {
-					t.Fatalf("round %d: blocks %v, want %v", ri, x.blocks, ids)
+				if got[i] != id {
+					t.Fatalf("round %d: blocks %v, want %v", ri, got, ids)
 				}
 			}
 			ri++
@@ -119,10 +121,10 @@ func TestCompiledNoPackRounds(t *testing.T) {
 	unpacked := compileBruckRounds(n, 1, b, func(int) int { return r }, true)
 	var wantBlocks, gotBlocks int
 	for _, rd := range packed {
-		wantBlocks += len(rd.xfers[0].blocks)
+		wantBlocks += rd.xfers[0].blockCount()
 	}
 	for _, rd := range unpacked {
-		if len(rd.xfers) != 1 || len(rd.xfers[0].blocks) != 1 || rd.xfers[0].bytes != b {
+		if len(rd.xfers) != 1 || rd.xfers[0].blockCount() != 1 || rd.xfers[0].bytes != b {
 			t.Fatalf("noPack round %+v is not a single-block round", rd)
 		}
 		gotBlocks++

@@ -141,9 +141,36 @@ type indexRound struct {
 // schedule is translation invariant, so one compiled transfer serves
 // every group member.
 type indexXfer struct {
-	offset int   // partner offset in group ranks
-	bytes  int   // payload size
-	blocks []int // working-region block ids carried, ascending
+	offset int        // partner offset in group ranks
+	bytes  int        // payload size
+	runs   []blockRun // working-region block ids carried, as ascending runs
+}
+
+// blockRun is count consecutive working-region block ids starting at
+// first. The blocks of a run are adjacent in the working region, so
+// the full-width replay packs and unpacks each run with one copy.
+type blockRun struct {
+	first, count int
+}
+
+// blockCount returns the number of blocks the transfer carries.
+func (x indexXfer) blockCount() int {
+	c := 0
+	for _, r := range x.runs {
+		c += r.count
+	}
+	return c
+}
+
+// blockIDs expands the transfer's runs into its ascending block ids.
+func (x indexXfer) blockIDs() []int {
+	ids := make([]int, 0, x.blockCount())
+	for _, r := range x.runs {
+		for j := r.first; j < r.first+r.count; j++ {
+			ids = append(ids, j)
+		}
+	}
+	return ids
 }
 
 // dblRound is one doubling round of the circulant concatenation: the
@@ -447,7 +474,7 @@ func pipelinedC2(rounds []indexRound, spans []buffers.Span) int {
 		stepMax := 0
 		for seg := lo; seg <= hi; seg++ {
 			for _, x := range rounds[t-seg].xfers {
-				if b := len(x.blocks) * spans[seg].Len; b > stepMax {
+				if b := x.blockCount() * spans[seg].Len; b > stepMax {
 					stepMax = b
 				}
 			}
@@ -470,21 +497,16 @@ func compileBruckRounds(n, k, blockLen int, radixAt func(int) int, noPack bool) 
 	for sub := 0; weight < n; sub++ {
 		r := radixAt(sub)
 		h := intmath.Min(r, intmath.CeilDiv(n, weight))
-		// One pass over the block ids buckets them by digit value.
-		sel := make([][]int, h)
-		for j := 0; j < n; j++ {
-			if z := (j / weight) % r; z >= 1 && z < h {
-				sel[z] = append(sel[z], j)
-			}
-		}
 		if noPack {
 			for z := 1; z < h; z++ {
-				for _, j := range sel[z] {
-					rounds = append(rounds, indexRound{xfers: []indexXfer{{
-						offset: z * weight,
-						bytes:  blockLen,
-						blocks: []int{j},
-					}}})
+				for _, run := range digitRuns(n, weight, r, z) {
+					for j := run.first; j < run.first+run.count; j++ {
+						rounds = append(rounds, indexRound{xfers: []indexXfer{{
+							offset: z * weight,
+							bytes:  blockLen,
+							runs:   []blockRun{{first: j, count: 1}},
+						}}})
+					}
 				}
 			}
 		} else {
@@ -492,11 +514,9 @@ func compileBruckRounds(n, k, blockLen int, radixAt func(int) int, noPack bool) 
 				end := intmath.Min(start+k-1, h-1)
 				rd := indexRound{xfers: make([]indexXfer, 0, end-start+1)}
 				for z := start; z <= end; z++ {
-					rd.xfers = append(rd.xfers, indexXfer{
-						offset: z * weight,
-						bytes:  len(sel[z]) * blockLen,
-						blocks: sel[z],
-					})
+					x := indexXfer{offset: z * weight, runs: digitRuns(n, weight, r, z)}
+					x.bytes = x.blockCount() * blockLen
+					rd.xfers = append(rd.xfers, x)
 				}
 				rounds = append(rounds, rd)
 			}
@@ -504,6 +524,18 @@ func compileBruckRounds(n, k, blockLen int, radixAt func(int) int, noPack bool) 
 		weight *= r
 	}
 	return rounds
+}
+
+// digitRuns returns the block ids j < n whose radix-r digit at weight
+// (j / weight mod r) equals z, as maximal runs: the ids
+// [m*r*weight + z*weight, m*r*weight + (z+1)*weight) for m = 0, 1, ...,
+// clipped to n.
+func digitRuns(n, weight, r, z int) []blockRun {
+	runs := make([]blockRun, 0, intmath.CeilDiv(n-z*weight, r*weight))
+	for first := z * weight; first < n; first += r * weight {
+		runs = append(runs, blockRun{first: first, count: intmath.Min(weight, n-first)})
+	}
+	return runs
 }
 
 // CompileConcat compiles the concatenation schedule selected by opt for
@@ -691,13 +723,9 @@ func (pl *Plan) Execute(in, out *buffers.Buffers) (*Result, error) {
 	if err := pl.checkBuffers(in, out); err != nil {
 		return nil, err
 	}
-	err := pl.engine.Run(func(p *mpsim.Proc) error {
+	return pl.run(func(p *mpsim.Proc) error {
 		return pl.body(p, in, out)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return pl.result(pl.engine.Metrics()), nil
 }
 
 // checkRagged validates an (in, out) ragged pair against a layout
@@ -733,13 +761,20 @@ func (pl *Plan) ExecuteV(in, out *buffers.Ragged) (*Result, error) {
 	if err := pl.checkRagged(in, out); err != nil {
 		return nil, err
 	}
-	err := pl.engine.Run(func(p *mpsim.Proc) error {
+	return pl.run(func(p *mpsim.Proc) error {
 		return pl.vbody(p, in, out)
 	})
+}
+
+// run executes body as the plan's sole program and builds the Result
+// from that run's own metrics, so a run rejected as overlapping never
+// reads another run's.
+func (pl *Plan) run(body func(p *mpsim.Proc) error) (*Result, error) {
+	metrics, err := pl.engine.RunPrograms([]mpsim.Program{{Body: body}})
 	if err != nil {
 		return nil, err
 	}
-	return pl.result(pl.engine.Metrics()), nil
+	return pl.result(metrics[0]), nil
 }
 
 // BindV validates and attaches a ragged (in, out) pair to a layout plan
@@ -879,8 +914,12 @@ func (pl *Plan) bruckBody(p *mpsim.Proc, in, out []byte) error {
 		return err
 	}
 
-	for j := 0; j < n; j++ {
-		q := intmath.Mod(me-j, n)
+	// Output block j is working slot (me-j) mod n: walk q down from me,
+	// wrapping once.
+	for j, q := 0, me; j < n; j, q = j+1, q-1 {
+		if q < 0 {
+			q += n
+		}
 		copy(out[j*bl:(j+1)*bl], work[q*bl:q*bl+bl])
 	}
 	return nil
@@ -888,144 +927,102 @@ func (pl *Plan) bruckBody(p *mpsim.Proc, in, out []byte) error {
 
 // replayBruckRounds runs the compiled Phase 2 rounds on a working
 // region of n slots of bl bytes — shared by the fixed-size body (bl is
-// the block size) and the layout body (bl is the padded slot size of
-// the two-phase packing).
-func (pl *Plan) replayBruckRounds(p *mpsim.Proc, work []byte, bl int) error {
-	if pl.segments > 1 {
-		return pl.replayBruckRoundsPipelined(p, work, bl)
-	}
-	g := pl.group
-	n := g.Size()
-	me := g.Rank(p.Rank())
-	k := p.Ports()
-
-	sends := make([]mpsim.Send, 0, k)
-	froms := make([]int, 0, k)
-	into := make([][]byte, 0, k)
-	for _, rd := range pl.rounds {
-		if pl.noPack {
-			// Single-block round: the block travels as a view of its own
-			// working slot and the reply lands back in the same slot (the
-			// engine copies the payload out before delivery).
-			x := rd.xfers[0]
-			blk := work[x.blocks[0]*bl : (x.blocks[0]+1)*bl]
-			sends = append(sends[:0], mpsim.Send{To: g.ID(intmath.Mod(me+x.offset, n)), Data: blk})
-			froms = append(froms[:0], g.ID(intmath.Mod(me-x.offset, n)))
-			into = append(into[:0], blk)
-			if err := p.ExchangeInto(sends, froms, into); err != nil {
-				return err
-			}
-			continue
-		}
-		sends, froms, into = sends[:0], froms[:0], into[:0]
-		for _, x := range rd.xfers {
-			payload := p.AcquireBuf(x.bytes)
-			off := 0
-			for _, j := range x.blocks {
-				copy(payload[off:off+bl], work[j*bl:])
-				off += bl
-			}
-			sends = append(sends, mpsim.Send{To: g.ID(intmath.Mod(me+x.offset, n)), Data: payload})
-			froms = append(froms, g.ID(intmath.Mod(me-x.offset, n)))
-			into = append(into, p.AcquireBuf(x.bytes))
-		}
-		err := p.ExchangeInto(sends, froms, into)
-		if err == nil {
-			for i, x := range rd.xfers {
-				off := 0
-				for _, j := range x.blocks {
-					copy(work[j*bl:(j+1)*bl], into[i][off:off+bl])
-					off += bl
-				}
-			}
-		}
-		for i := range sends {
-			p.ReleaseBuf(sends[i].Data)
-			p.ReleaseBuf(into[i])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayBruckRoundsPipelined is the segment-pipelined Phase 2 replay:
-// merged round t moves, for every live segment seg (those with
-// 0 <= t-seg < len(rounds)), the transfers of compiled round t-seg
-// restricted to segment seg's byte span of each block. Payloads travel
-// by ownership transfer in both directions (Proc.ExchangeOwned): the
-// packed send buffer is handed to the transport without the monolithic
-// path's extra engine copy, and the received buffer is unpacked and
-// recycled here — two copies per message instead of four, which is
-// where the pipelined path's large-block throughput win comes from.
+// the block size), the layout body (bl is the padded slot size of the
+// two-phase packing) and the Bruck reduce-scatter.
+//
+// The replay is a pipeline over the block's byte spans: merged round t
+// moves, for every live segment seg (those with 0 <= t-seg <
+// len(rounds)), the transfers of compiled round t-seg restricted to
+// segment seg's span of each block. An unsegmented plan is the
+// one-segment case — one full-width span, merged round t is compiled
+// round t — and packs each run of adjacent blocks with a single copy.
+// Payloads travel by ownership transfer in both directions
+// (Proc.ExchangeOwned): the packed send buffer is handed to the
+// transport uncopied, and the received buffer is unpacked and
+// recycled here, so every message costs two copies.
 //
 // Within one merged round all partner offsets are distinct
 // (finishSegments clamps the segment count to minOffsetGap), every
 // rank runs the same merged-round count, and all packs precede the
 // exchange while all unpacks follow it — so a round's send and receive
-// of the same working blocks keep the monolithic path's
-// pack-before-unpack order, and distinct segments touch disjoint byte
-// spans. On error the in-flight payloads stay with the transport; the
-// engine's post-run drain recovers them into the pools.
-func (pl *Plan) replayBruckRoundsPipelined(p *mpsim.Proc, work []byte, bl int) error {
+// of the same working blocks keep pack-before-unpack order, and
+// distinct segments touch disjoint byte spans. On error the in-flight
+// payloads stay with the transport; the engine's post-run drain
+// recovers them into the pools.
+func (pl *Plan) replayBruckRounds(p *mpsim.Proc, work []byte, bl int) error {
 	g := pl.group
 	n := g.Size()
 	me := g.Rank(p.Rank())
-	s := pl.segments
-	R := len(pl.rounds)
-
-	maxX := 0
-	for _, rd := range pl.rounds {
-		if len(rd.xfers) > maxX {
-			maxX = len(rd.xfers)
-		}
+	spans := pl.segSpans
+	if pl.segments <= 1 {
+		full := [1]buffers.Span{{Len: bl}}
+		spans = full[:]
 	}
-	sends := make([]mpsim.Send, 0, s*maxX)
-	froms := make([]int, 0, s*maxX)
-	out := make([][]byte, s*maxX)
+	s, R := len(spans), len(pl.rounds)
+	sends, froms, out := p.RoundScratch(s * p.Ports())
 
 	for t := 0; t < R+s-1; t++ {
-		lo, hi := t-R+1, t
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > s-1 {
-			hi = s - 1
-		}
+		lo, hi := max(0, t-R+1), min(t, s-1)
 		sends, froms = sends[:0], froms[:0]
 		for seg := lo; seg <= hi; seg++ {
-			sp := pl.segSpans[seg]
+			sp := spans[seg]
 			for _, x := range pl.rounds[t-seg].xfers {
-				payload := p.AcquireBuf(len(x.blocks) * sp.Len)
-				off := 0
-				for _, j := range x.blocks {
-					copy(payload[off:off+sp.Len], work[j*bl+sp.Off:])
-					off += sp.Len
+				size := x.bytes // full width: bl bytes per block
+				if sp.Len != bl {
+					size = x.blockCount() * sp.Len
 				}
+				payload := p.AcquireBuf(size)
+				packRuns(payload, work, x.runs, bl, sp)
 				sends = append(sends, mpsim.Send{To: g.ID(intmath.Mod(me+x.offset, n)), Data: payload})
 				froms = append(froms, g.ID(intmath.Mod(me-x.offset, n)))
 			}
 		}
-		if err := p.ExchangeOwned(sends, froms, out[:len(froms)], hi-lo+1); err != nil {
+		out = out[:len(froms)]
+		if err := p.ExchangeOwned(sends, froms, out, hi-lo+1); err != nil {
 			return err
 		}
 		i := 0
 		for seg := lo; seg <= hi; seg++ {
-			sp := pl.segSpans[seg]
+			sp := spans[seg]
 			for _, x := range pl.rounds[t-seg].xfers {
-				payload := out[i]
+				unpackRuns(work, out[i], x.runs, bl, sp)
+				p.ReleaseBuf(out[i])
 				i++
-				off := 0
-				for _, j := range x.blocks {
-					copy(work[j*bl+sp.Off:j*bl+sp.Off+sp.Len], payload[off:off+sp.Len])
-					off += sp.Len
-				}
-				p.ReleaseBuf(payload)
 			}
 		}
 	}
 	return nil
+}
+
+// packRuns gathers span sp of every block in runs, in order, from a
+// working region of bl-byte slots into payload. A full-width span
+// copies each run of adjacent blocks at once.
+func packRuns(payload, work []byte, runs []blockRun, bl int, sp buffers.Span) {
+	off := 0
+	for _, r := range runs {
+		if sp.Len == bl {
+			off += copy(payload[off:], work[r.first*bl:(r.first+r.count)*bl])
+			continue
+		}
+		for j := r.first; j < r.first+r.count; j++ {
+			off += copy(payload[off:off+sp.Len], work[j*bl+sp.Off:])
+		}
+	}
+}
+
+// unpackRuns is the inverse of packRuns: it scatters payload back into
+// span sp of every block in runs.
+func unpackRuns(work, payload []byte, runs []blockRun, bl int, sp buffers.Span) {
+	off := 0
+	for _, r := range runs {
+		if sp.Len == bl {
+			off += copy(work[r.first*bl:(r.first+r.count)*bl], payload[off:])
+			continue
+		}
+		for j := r.first; j < r.first+r.count; j++ {
+			off += copy(work[j*bl+sp.Off:j*bl+sp.Off+sp.Len], payload[off:])
+		}
+	}
 }
 
 // circulantBody is the per-processor program of a compiled circulant
@@ -1045,9 +1042,7 @@ func (pl *Plan) circulantBody(p *mpsim.Proc, myBlock, out []byte) error {
 	}
 
 	if pl.trivial {
-		sends := make([]mpsim.Send, 0, n-1)
-		froms := make([]int, 0, n-1)
-		into := make([][]byte, 0, n-1)
+		sends, froms, into := p.RoundScratch(n - 1)
 		for q := 1; q < n; q++ {
 			sends = append(sends, mpsim.Send{To: g.ID(intmath.Mod(me-q, n)), Data: myBlock})
 			froms = append(froms, g.ID(intmath.Mod(me+q, n)))
@@ -1087,9 +1082,7 @@ func (pl *Plan) replayCirculantRounds(p *mpsim.Proc, acc []byte, bl int) error {
 	me := g.Rank(p.Rank())
 	k := p.Ports()
 
-	sends := make([]mpsim.Send, 0, k)
-	froms := make([]int, 0, k)
-	into := make([][]byte, 0, k)
+	sends, froms, into := p.RoundScratch(k)
 	for _, rd := range pl.dbl {
 		sends, froms, into = sends[:0], froms[:0], into[:0]
 		for t := 1; t <= k; t++ {

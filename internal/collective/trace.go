@@ -103,8 +103,8 @@ func (pl *Plan) pattern() []trace.PatternRound {
 				for _, x := range pl.rounds[t-seg].xfers {
 					pr.Transfers = append(pr.Transfers, trace.PatternTransfer{
 						Offset: x.offset,
-						Bytes:  len(x.blocks) * sp.Len,
-						Blocks: append([]int(nil), x.blocks...),
+						Bytes:  x.blockCount() * sp.Len,
+						Blocks: x.blockIDs(),
 					})
 				}
 			}
@@ -117,7 +117,7 @@ func (pl *Plan) pattern() []trace.PatternRound {
 				pr.Transfers = append(pr.Transfers, trace.PatternTransfer{
 					Offset: x.offset,
 					Bytes:  x.bytes,
-					Blocks: append([]int(nil), x.blocks...),
+					Blocks: x.blockIDs(),
 				})
 			}
 			out = append(out, pr)

@@ -10,13 +10,13 @@
 // processors and simultaneously receive up to k messages from k other
 // processors.
 //
-// The simulator runs one goroutine per processor. Algorithms are written
-// in SPMD style: Engine.Run invokes the same body on every Proc, and the
-// i-th communication call issued by a processor belongs to communication
-// round i. The engine enforces the k-port constraint per round, checks
-// that matching sends and receives agree on the round number (when
-// validation is enabled), and records the two complexity measures used
-// throughout the paper:
+// The simulator runs each processor on its own goroutine. Algorithms
+// are written in SPMD style: Engine.Run invokes the same body on every
+// Proc, and the i-th communication call issued by a processor belongs
+// to communication round i. The engine enforces the k-port constraint
+// per round, checks that matching sends and receives agree on the round
+// number (when validation is enabled), and records the two complexity
+// measures used throughout the paper:
 //
 //   - C1, the number of communication rounds, and
 //   - C2, the sum over rounds of the largest message (over all ports of
@@ -78,7 +78,7 @@
 //
 // Engine.RunPrograms executes several independent SPMD programs in one
 // run: each Program names its member ranks and its body, member sets
-// must be pairwise disjoint, unclaimed ranks spawn no goroutine, and
+// must be pairwise disjoint, unclaimed ranks take no worker, and
 // every program records into its own Metrics (returned in program
 // order). The k-port constraint remains per processor; the
 // round-uniformity check applies per program, so programs with
@@ -91,19 +91,46 @@
 //
 // # Run lifecycle
 //
+// One run at a time: Run and RunPrograms take a run-ownership flag for
+// their whole duration, and a call that overlaps a run in progress on
+// the same engine — for example a blocking collective issued while an
+// asynchronous one is still executing — fails at once with
+// ErrRunInProgress, touching nothing.
+//
+// Rank bodies execute on a process-wide pool of parked, stateless
+// worker goroutines shared by every engine. A run hands each
+// participating rank's Proc to an idle worker and spawns a new worker
+// only when none is idle; a worker parks itself again before it
+// reports its rank finished, so the pool never grows beyond the most
+// ranks that ran at once in the process. New starts no goroutines, and
+// dropping an engine leaves nothing to close: the pool holds no
+// reference to it.
+//
+// An engine keeps one Proc per rank and reuses it for every run: its
+// per-round counters, its events and its round scratch
+// (Proc.RoundScratch) keep their capacity, so a reused engine runs a
+// warm schedule with a constant number of allocations per run. Each
+// Proc records into its own counters without locks; after the join the
+// engine merges them into the run's Metrics, which are immutable from
+// then on.
+//
 // Every Run gets a generation number, stamped on each Proc and each
-// message; receivers reject messages from another generation. A run
-// that fails with all processors exited may leave undelivered messages
-// in the transport; the next Run drains them first, recycling their
-// payload buffers into the destination pools. A run that the watchdog
-// declares deadlocked still has processors blocked in sends or
-// receives, so the engine fences it instead: the transport is
-// abandoned — waking every blocked processor with an error so the
-// zombies exit rather than leak — and the next Run proceeds on a fresh
-// transport and fresh pools. Zombies keep references only to the
-// orphaned instances, so they can neither race with later runs nor
-// leak stale messages into them, at the cost of losing the pools' warm
-// steady state on that (already exceptional) path.
+// message; receivers reject messages from another generation. A
+// completed run in which every processor received as many messages as
+// were sent leaves every mailbox empty, and the next run starts
+// without touching the transport. Only after a failed run, or one
+// whose summed per-Proc send and receive counts differ (possible with
+// validation off), does the next Run drain the transport first,
+// recycling the residue's payload buffers into the destination pools.
+// A run that the watchdog declares deadlocked still has processors
+// blocked in sends or receives, so the engine fences it instead: the
+// transport is abandoned — waking every blocked processor with an
+// error so the zombies exit and their workers return to the pool — and
+// the next Run proceeds on a fresh transport, fresh pools and fresh
+// Procs. Zombies keep references only to the orphaned instances, so
+// they can neither race with later runs nor leak stale messages into
+// them, at the cost of losing the warm steady state on that (already
+// exceptional) path.
 //
 // # Chaos lifecycle rules
 //

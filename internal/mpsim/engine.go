@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -23,8 +22,9 @@ const (
 // Engine simulates an n-processor fully connected multiport
 // message-passing system. Create one with New, then execute SPMD
 // programs with Run. An Engine may be reused for several consecutive
-// runs — including after a failed or deadlocked run, see Run — but it
-// is not safe for concurrent Runs.
+// runs — including after a failed or deadlocked run, see Run — but
+// runs must not overlap: a Run issued while another is executing fails
+// with ErrRunInProgress.
 type Engine struct {
 	n        int
 	k        int
@@ -59,6 +59,22 @@ type Engine struct {
 	// per-message allocations.
 	pools []*bufPool
 
+	// crew holds the reusable Procs and join state of the engine's runs,
+	// built on the first run and replaced, with transport and pools, by
+	// fence. Zombies of a fenced run keep the old crew.
+	crew *crew
+
+	// running is the run-ownership flag: set for the whole of one
+	// RunPrograms call, so an overlapping call fails with
+	// ErrRunInProgress instead of sharing the crew.
+	running atomic.Bool
+
+	// dirty records that the transport may hold undelivered messages:
+	// the last run failed, or its processors sent more messages than
+	// they received. The next run drains the transport first; a clean
+	// run leaves every mailbox empty and skips the sweep.
+	dirty bool
+
 	// gen counts Runs. Every Proc and every message carries the
 	// generation of the Run that created it, and receivers reject
 	// messages from another generation: together with the post-deadlock
@@ -66,12 +82,21 @@ type Engine struct {
 	// of an abandoned run out of all later runs.
 	gen uint64
 
-	// live counts the not-yet-returned processor goroutines of the most
-	// recent run; nonzero after Run only when a watchdog deadlock
-	// abandoned them. Each Run allocates its own counter (and its
-	// goroutines decrement that one), so zombies of a fenced run cannot
-	// corrupt a later run's count.
+	// live counts the not-yet-returned processors of the most recent
+	// run; nonzero after Run only when a watchdog deadlock abandoned
+	// them. It points into that run's crew, and fence replaces the crew,
+	// so zombies of a fenced run cannot corrupt a later run's count.
 	live *atomic.Int64
+
+	// watchdogTimer is reused across runs; only the goroutine that owns
+	// the current run touches it.
+	watchdogTimer *time.Timer
+
+	// owner[rank] is the program index of each rank in the current run,
+	// -1 for ranks that sit it out; roundsOf[pi] is scratch for the
+	// metrics merge. Both are reused across runs.
+	owner    []int
+	roundsOf []int
 
 	metrics *Metrics
 
@@ -79,6 +104,36 @@ type Engine struct {
 	// Metrics is nil after a multi-program run, and this lets callers
 	// distinguish that case from "never ran".
 	lastPrograms int
+}
+
+// crew is an engine's reusable run state: one Proc per rank, created
+// when the rank first runs and reused by every later run, the per-rank
+// error slots, and the join signal. fence replaces the whole crew, so
+// the Procs of a deadlocked run stay with its zombies.
+type crew struct {
+	procs  []*Proc // by rank; nil until the rank first runs
+	active []*Proc // the Procs of the current run, in rank order
+	errs   []error // by rank, for the current run
+	taken  []*rankWorker
+
+	live atomic.Int64  // processors of the current run still executing
+	done chan struct{} // receives one value when live reaches zero
+}
+
+func newCrew(n int) *crew {
+	return &crew{
+		procs: make([]*Proc, n),
+		errs:  make([]error, n),
+		done:  make(chan struct{}, 1),
+	}
+}
+
+// finished records that one processor of the current run has returned;
+// the last one signals the engine.
+func (c *crew) finished() {
+	if c.live.Add(-1) == 0 {
+		c.done <- struct{}{}
+	}
 }
 
 // message is one payload in flight from src to dst: the communication
@@ -229,6 +284,12 @@ func (e *Engine) ChaosStats() (ChaosStats, bool) {
 	return ChaosStats{}, false
 }
 
+// ErrRunInProgress is returned by Run and RunPrograms when another run
+// on the same engine has not returned yet — for example a blocking
+// collective issued while an asynchronous one is still executing. The
+// rejected call changes nothing; the run in progress is unaffected.
+var ErrRunInProgress = errors.New("mpsim: engine is already executing a run; runs on one engine must not overlap")
+
 // Run executes body concurrently on all n processors and waits for every
 // processor to return. It returns the joined errors of all processors,
 // or a deadlock error naming the stuck processors if the watchdog fires.
@@ -273,16 +334,23 @@ type Program struct {
 // multi-program run it returns nil — use the returned slice instead.
 // Error and deadlock recovery behave as in Run: the whole run shares
 // one watchdog, and a deadlock anywhere fences the transport for every
-// program of the run.
+// program of the run. One run at a time: a call that overlaps another
+// run on the same engine returns ErrRunInProgress at once.
 func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
+	if !e.running.CompareAndSwap(false, true) {
+		return nil, ErrRunInProgress
+	}
+	defer e.running.Store(false)
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("mpsim: RunPrograms with no programs")
 	}
-	owner := make([]int, e.n) // rank -> program index, -1 for idle
+	if e.owner == nil {
+		e.owner = make([]int, e.n)
+	}
+	owner := e.owner // rank -> program index, -1 for idle
 	for i := range owner {
 		owner[i] = -1
 	}
-	spawn := 0
 	for pi := range progs {
 		if progs[pi].Body == nil {
 			return nil, fmt.Errorf("mpsim: program %d has no body", pi)
@@ -294,7 +362,6 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 			for r := range owner {
 				owner[r] = pi
 			}
-			spawn = e.n
 			continue
 		}
 		if len(progs[pi].Members) == 0 {
@@ -308,89 +375,68 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 				return nil, fmt.Errorf("mpsim: rank %d belongs to programs %d and %d; programs must be disjoint", r, owner[r], pi)
 			}
 			owner[r] = pi
-			spawn++
 		}
 	}
 
-	e.tr.Drain(func(dst int, data []byte) { e.pools[dst].put(data) })
-
+	if e.dirty {
+		e.tr.Drain(func(dst int, data []byte) { e.pools[dst].put(data) })
+		e.dirty = false
+	}
+	if e.crew == nil {
+		e.crew = newCrew(e.n)
+	}
+	c := e.crew
 	e.gen++
-	metrics := make([]*Metrics, len(progs))
-	for i := range metrics {
-		metrics[i] = newMetrics(e.n)
-		metrics[i].record = e.record
-		if g := e.groupOf; g != nil {
-			metrics[i].classOf = func(src, dst int) int {
-				if g[src] == g[dst] {
-					return ClassIntra
-				}
-				return ClassInter
-			}
-		}
-	}
-	if len(progs) == 1 {
-		e.metrics = metrics[0]
-	} else {
-		e.metrics = nil
-	}
-	e.lastPrograms = len(progs)
-	live := new(atomic.Int64)
-	live.Store(int64(spawn))
-	e.live = live
-
-	procs := make([]*Proc, e.n)
-	errs := make([]error, e.n)
-	var wg sync.WaitGroup
-	wg.Add(spawn)
-	for i := 0; i < e.n; i++ {
-		pi := owner[i]
+	clear(c.errs)
+	c.active = c.active[:0]
+	for i, pi := range owner {
 		if pi == -1 {
 			continue
 		}
-		p := &Proc{
-			engine:  e,
-			tr:      e.tr,
-			pool:    e.pools[i],
-			metrics: metrics[pi],
-			gen:     e.gen,
-			rank:    i,
+		p := c.procs[i]
+		if p == nil {
+			p = &Proc{engine: e, crew: c, tr: e.tr, pool: e.pools[i], rank: i}
+			c.procs[i] = p
 		}
-		procs[i] = p
-		go func(rank int, p *Proc, body func(p *Proc) error) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[rank] = fmt.Errorf("mpsim: processor %d panicked: %v", rank, r)
-				}
-				p.metrics.setFinish(rank, p.Round())
-				p.done.Store(true)
-				live.Add(-1)
-			}()
-			errs[rank] = body(p)
-		}(i, p, progs[pi].Body)
+		p.reset(e.gen, pi, progs[pi].Body)
+		c.active = append(c.active, p)
 	}
-
-	doneCh := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(doneCh)
-	}()
+	c.live.Store(int64(len(c.active)))
+	e.live = &c.live
+	e.metrics = nil
+	e.lastPrograms = len(progs)
+	c.taken = startRanks(c.active, c.taken)
 
 	if e.watchdog > 0 {
-		timer := time.NewTimer(e.watchdog)
-		defer timer.Stop()
+		if e.watchdogTimer == nil {
+			e.watchdogTimer = time.NewTimer(e.watchdog)
+		} else {
+			e.watchdogTimer.Reset(e.watchdog)
+		}
 		select {
-		case <-doneCh:
-		case <-timer.C:
-			err := e.deadlockError(procs)
+		case <-c.done:
+			if !e.watchdogTimer.Stop() {
+				select {
+				case <-e.watchdogTimer.C:
+				default:
+				}
+			}
+		case <-e.watchdogTimer.C:
+			err := e.deadlockError(c.active)
 			e.fence()
 			return nil, err
 		}
 	} else {
-		<-doneCh
+		<-c.done
 	}
 
-	if err := errors.Join(errs...); err != nil {
+	metrics, drained := e.mergeMetrics(len(progs))
+	e.dirty = !drained
+	if len(progs) == 1 {
+		e.metrics = metrics[0]
+	}
+	if err := errors.Join(c.errs...); err != nil {
+		e.dirty = true
 		return nil, err
 	}
 	if e.validate {
@@ -409,7 +455,7 @@ func (e *Engine) RunPrograms(progs []Program) ([]*Metrics, error) {
 // Metrics returns the metrics recorded by the most recent Run (or
 // single-program RunPrograms), or nil if Run has not been called or the
 // most recent run executed multiple programs — per-program metrics are
-// returned by RunPrograms itself.
+// returned by RunPrograms itself. Only call it between runs.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // ProgramsInLastRun returns how many programs the most recent run
@@ -418,11 +464,13 @@ func (e *Engine) ProgramsInLastRun() int { return e.lastPrograms }
 
 // fence isolates the engine from the goroutines of a deadlocked run.
 // Abandoning the transport wakes every processor blocked in a send or
-// receive with an error so it can exit; replacing the transport and the
-// buffer pools guarantees that even a processor that ignores the error
-// (or is still executing body code) only ever touches structures no
-// future run shares. The zombies' Procs keep their references to the
-// orphaned instances, so no lock is needed anywhere on this path.
+// receive with an error so it can exit; replacing the transport, the
+// buffer pools and the crew of Procs guarantees that even a processor
+// that ignores the error (or is still executing body code) only ever
+// touches structures no future run shares. The zombies' Procs keep
+// their references to the orphaned instances, so no lock is needed
+// anywhere on this path; each zombie's worker returns to the pool once
+// its body exits.
 func (e *Engine) fence() {
 	e.tr.Abandon()
 	tr, err := newTransport(e.backend, e.n, e.chaos)
@@ -432,6 +480,8 @@ func (e *Engine) fence() {
 	}
 	e.tr = tr
 	e.pools = newPools(e.n)
+	e.crew = nil
+	e.dirty = false
 }
 
 // deadlockError reports which processors had not finished when the
@@ -440,9 +490,6 @@ func (e *Engine) fence() {
 func (e *Engine) deadlockError(procs []*Proc) error {
 	var stuck []string
 	for _, p := range procs {
-		if p == nil {
-			continue // rank sat the run out (no program claimed it)
-		}
 		if !p.done.Load() {
 			stuck = append(stuck, fmt.Sprintf("p%d(round %d)", p.rank, p.Round()))
 		}

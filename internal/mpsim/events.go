@@ -37,19 +37,7 @@ func Record(on bool) Option {
 // Events returns the recorded messages of the run sorted by (round,
 // src, dst), or nil if recording was not enabled.
 func (m *Metrics) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := append([]Event(nil), m.events...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
-		}
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
+	return append([]Event(nil), m.events...)
 }
 
 // MergeEvents merges the recorded event streams of several Metrics —
@@ -66,18 +54,26 @@ func MergeEvents(ms ...*Metrics) []Event {
 		if m == nil {
 			continue
 		}
-		out = append(out, m.Events()...)
+		out = append(out, m.events...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
-		}
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
+	sortEvents(out)
 	return out
+}
+
+// sortEvents orders events by (round, src, dst).
+func sortEvents(evs []Event) {
+	if len(evs) < 2 {
+		return
+	}
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].Round != evs[j].Round {
+			return evs[i].Round < evs[j].Round
+		}
+		if evs[i].Src != evs[j].Src {
+			return evs[i].Src < evs[j].Src
+		}
+		return evs[i].Dst < evs[j].Dst
+	})
 }
 
 // RoundEvents returns the recorded messages of one round, sorted by

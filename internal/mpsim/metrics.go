@@ -1,9 +1,6 @@
 package mpsim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Metrics records the communication activity of one Engine.Run and
 // exposes the paper's two complexity measures:
@@ -13,22 +10,19 @@ import (
 //   - C2 (DataVolume): the sum over rounds of the largest message (over
 //     all ports of all processors) sent in that round.
 //
-// Metrics is safe for concurrent use by the processor goroutines during
-// a run and read-only afterwards.
+// The engine builds a Metrics after the run's join by merging the
+// counters each processor kept on its own Proc; it is immutable
+// afterwards and safe for concurrent reads.
 type Metrics struct {
-	mu sync.Mutex
-
 	// roundMax[i] is the largest message, in bytes, sent in round i.
 	roundMax []int
 	// roundSends[i] is the number of messages sent in round i.
 	roundSends []int
 
-	// classOf classifies the link of one send (ClassIntra/ClassInter);
-	// nil on engines without a topology, where every send is intra.
-	classOf func(src, dst int) int
-	// classRoundMax[c][i] and classRoundSends[c][i] are roundMax and
-	// roundSends restricted to sends of link class c. Allocated lazily,
-	// only when the engine has a topology.
+	// classes is set on engines with a topology; classRoundMax[c][i]
+	// and classRoundSends[c][i] are roundMax and roundSends restricted
+	// to sends of link class c. Without a topology every send is intra.
+	classes         bool
 	classRoundMax   [NumLinkClasses][]int
 	classRoundSends [NumLinkClasses][]int
 
@@ -43,68 +37,82 @@ type Metrics struct {
 
 	finishRound []int // final round counter of each processor
 
-	record bool    // collect per-message events
-	events []Event // populated only when record is set
+	events []Event // sorted by (round, src, dst); nil unless recording
 }
 
-func newMetrics(n int) *Metrics {
-	return &Metrics{
-		perProcBytesIn:  make([]int, n),
-		perProcBytesOut: make([]int, n),
-		finishRound:     make([]int, n),
+// mergeMetrics builds one Metrics per program of the run that just
+// joined from the member Procs' counters, and reports whether the
+// transport is certainly empty: every message handed to it was taken
+// out again.
+func (e *Engine) mergeMetrics(programs int) ([]*Metrics, bool) {
+	c := e.crew
+	if cap(e.roundsOf) < programs {
+		e.roundsOf = make([]int, programs)
 	}
-}
-
-func (m *Metrics) recordSend(rank, dst, round, size int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.roundMax) <= round {
-		m.roundMax = append(m.roundMax, 0)
-		m.roundSends = append(m.roundSends, 0)
+	rounds := e.roundsOf[:programs]
+	clear(rounds)
+	nevents := 0
+	var sends, recvs int64
+	for _, p := range c.active {
+		rounds[p.prog] = max(rounds[p.prog], len(p.stats.roundMax))
+		nevents += len(p.stats.events)
+		sends += p.stats.sends
+		recvs += p.stats.recvs
 	}
-	if size > m.roundMax[round] {
-		m.roundMax[round] = size
-	}
-	m.roundSends[round]++
-	m.totalBytes += int64(size)
-	m.messageCount++
-	m.perProcBytesOut[rank] += size
-	class := ClassIntra
-	if m.classOf != nil {
-		class = m.classOf(rank, dst)
-		for c := range m.classRoundMax {
-			for len(m.classRoundMax[c]) <= round {
-				m.classRoundMax[c] = append(m.classRoundMax[c], 0)
-				m.classRoundSends[c] = append(m.classRoundSends[c], 0)
+	metrics := make([]*Metrics, programs)
+	for pi := range metrics {
+		R := rounds[pi]
+		perProc := make([]int, 3*e.n)
+		m := &Metrics{
+			perProcBytesIn:  perProc[:e.n:e.n],
+			perProcBytesOut: perProc[e.n : 2*e.n : 2*e.n],
+			finishRound:     perProc[2*e.n:],
+			classes:         e.groupOf != nil,
+		}
+		if R > 0 {
+			perRound := make([]int, 2*R)
+			m.roundMax, m.roundSends = perRound[:R:R], perRound[R:]
+			if m.classes {
+				perClass := make([]int, 2*NumLinkClasses*R)
+				for cl := 0; cl < NumLinkClasses; cl++ {
+					m.classRoundMax[cl] = perClass[2*cl*R : (2*cl+1)*R : (2*cl+1)*R]
+					m.classRoundSends[cl] = perClass[(2*cl+1)*R : (2*cl+2)*R : (2*cl+2)*R]
+				}
 			}
 		}
-		if size > m.classRoundMax[class][round] {
-			m.classRoundMax[class][round] = size
+		if e.record && nevents > 0 {
+			m.events = make([]Event, 0, nevents)
 		}
-		m.classRoundSends[class][round]++
+		metrics[pi] = m
 	}
-	if m.record {
-		m.events = append(m.events, Event{Round: round, Src: rank, Dst: dst, Size: size, Class: class})
+	for _, p := range c.active {
+		m, st := metrics[p.prog], &p.stats
+		for r, size := range st.roundMax {
+			m.roundMax[r] = max(m.roundMax[r], size)
+			m.roundSends[r] += st.roundSends[r]
+		}
+		for cl := range st.classRoundMax {
+			for r, size := range st.classRoundMax[cl] {
+				m.classRoundMax[cl][r] = max(m.classRoundMax[cl][r], size)
+				m.classRoundSends[cl][r] += st.classRoundSends[cl][r]
+			}
+		}
+		m.totalBytes += int64(st.bytesOut)
+		m.messageCount += st.sends
+		m.perProcBytesIn[p.rank] = st.bytesIn
+		m.perProcBytesOut[p.rank] = st.bytesOut
+		m.finishRound[p.rank] = st.finish
+		m.events = append(m.events, st.events...)
 	}
-}
-
-func (m *Metrics) recordRecv(rank, round, size int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.perProcBytesIn[rank] += size
-}
-
-func (m *Metrics) setFinish(rank, round int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finishRound[rank] = round
+	for _, m := range metrics {
+		sortEvents(m.events)
+	}
+	return metrics, sends == recvs
 }
 
 // Rounds returns C1: the number of rounds in which at least one message
 // was sent. Rounds skipped by every processor do not count.
 func (m *Metrics) Rounds() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c1 := 0
 	for _, sends := range m.roundSends {
 		if sends > 0 {
@@ -118,8 +126,6 @@ func (m *Metrics) Rounds() int {
 // in that round, in bytes (the paper's "amount of data transferred in a
 // sequence").
 func (m *Metrics) DataVolume() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c2 := 0
 	for _, max := range m.roundMax {
 		c2 += max
@@ -130,8 +136,6 @@ func (m *Metrics) DataVolume() int {
 // RoundSizes returns a copy of the per-round largest message sizes, in
 // bytes, indexed by round.
 func (m *Metrics) RoundSizes() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]int, len(m.roundMax))
 	copy(out, m.roundMax)
 	return out
@@ -140,31 +144,23 @@ func (m *Metrics) RoundSizes() []int {
 // TotalBytes returns the total number of payload bytes sent over all
 // messages of the run (the "total transmissions" quantity of Thm 2.7).
 func (m *Metrics) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.totalBytes
 }
 
 // Messages returns the total number of point-to-point messages sent.
 func (m *Metrics) Messages() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.messageCount
 }
 
 // BytesInto returns the number of bytes received by processor rank over
 // the whole run.
 func (m *Metrics) BytesInto(rank int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.perProcBytesIn[rank]
 }
 
 // BytesOutOf returns the number of bytes sent by processor rank over the
 // whole run.
 func (m *Metrics) BytesOutOf(rank int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.perProcBytesOut[rank]
 }
 
@@ -172,8 +168,6 @@ func (m *Metrics) BytesOutOf(rank int) int {
 // divided by k this is the per-port volume bounded below by b(n-1)/k in
 // Propositions 2.2 and 2.4.
 func (m *Metrics) MaxBytesIntoAnyProc() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	max := 0
 	for _, v := range m.perProcBytesIn {
 		if v > max {
@@ -189,9 +183,7 @@ func (m *Metrics) MaxBytesIntoAnyProc() int {
 // ClassIntra, so ClassRounds(ClassIntra) equals Rounds() and
 // ClassRounds(ClassInter) is 0.
 func (m *Metrics) ClassRounds(class int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.classOf == nil {
+	if !m.classes {
 		if class == ClassIntra {
 			c1 := 0
 			for _, sends := range m.roundSends {
@@ -221,9 +213,7 @@ func (m *Metrics) ClassRounds(class int) int {
 // exactly when no round mixes link classes, which holds for the
 // hierarchical schedules (each phase is single-class).
 func (m *Metrics) ClassVolume(class int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.classOf == nil {
+	if !m.classes {
 		if class == ClassIntra {
 			c2 := 0
 			for _, max := range m.roundMax {
@@ -247,9 +237,7 @@ func (m *Metrics) ClassVolume(class int) int {
 // sizes of one link class, indexed by round; nil on engines without a
 // topology.
 func (m *Metrics) ClassRoundSizes(class int) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.classOf == nil || class < 0 || class >= NumLinkClasses {
+	if !m.classes || class < 0 || class >= NumLinkClasses {
 		return nil
 	}
 	out := make([]int, len(m.classRoundMax[class]))
@@ -264,8 +252,6 @@ func (m *Metrics) ClassRoundSizes(class int) []int {
 // outside the Group of a collective) and are exempt. Called by the
 // engine when validation is on.
 func (m *Metrics) uniformityError() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	first, firstRank := -1, -1
 	for rank, r := range m.finishRound {
 		if r == 0 {

@@ -8,24 +8,125 @@ import (
 // Proc is the per-processor handle passed to the SPMD body by
 // Engine.Run. All communication a processor performs goes through its
 // Proc. A Proc is confined to the goroutine that runs the body; it must
-// not be shared. (The round counter and completion flag are atomic only
-// so the engine's deadlock watchdog can inspect a stuck processor.)
+// not be shared or retained after the body returns. (The round counter
+// and completion flag are atomic only so the engine's deadlock watchdog
+// can inspect a stuck processor.)
 //
-// A Proc holds direct references to the transport, buffer pool and
-// metrics of the Run that created it, plus that Run's generation. The
-// engine replaces the transport and pools after a deadlocked run, so a
-// zombie processor of an abandoned run keeps operating on its own
-// orphaned instances and can never race with — or leak a stale message
-// into — a later run.
+// An engine keeps one Proc per rank and reuses it for every run, so the
+// per-processor counters and round scratch reach a steady state with no
+// allocations. A Proc holds direct references to the transport and
+// buffer pool it was created with and stamps the current run's
+// generation on every message. After a deadlocked run the engine
+// replaces transport, pools and Procs together, so a zombie processor
+// of an abandoned run keeps operating on its own orphaned instances and
+// can never race with — or leak a stale message into — a later run.
 type Proc struct {
-	engine  *Engine
-	tr      Transport // the transport of the Run that created this Proc
-	pool    *bufPool  // this rank's buffer pool of that Run
-	metrics *Metrics  // the metrics of that Run
-	gen     uint64    // that Run's generation; stamped on every message
-	rank    int
-	round   atomic.Int64
-	done    atomic.Bool
+	engine *Engine
+	crew   *crew     // the crew this Proc belongs to
+	tr     Transport // the transport of that crew's runs
+	pool   *bufPool  // this rank's buffer pool of those runs
+	gen    uint64    // the current run's generation; stamped on every message
+	rank   int
+	prog   int               // program index in the current run
+	body   func(*Proc) error // the current run's body
+	round  atomic.Int64
+	done   atomic.Bool
+
+	stats procStats // this run's counters, merged into Metrics after the join
+
+	// Round scratch handed out by RoundScratch, reused across runs.
+	scratchSends []Send
+	scratchFroms []int
+	scratchBufs  [][]byte
+}
+
+// procStats are one processor's communication counters for one run.
+// Only the processor's goroutine writes them; the engine reads them
+// after the join, so no lock is needed.
+type procStats struct {
+	roundMax   []int // largest message sent, per round
+	roundSends []int // messages sent, per round
+	// Per link class, kept only on engines with a topology.
+	classRoundMax   [NumLinkClasses][]int
+	classRoundSends [NumLinkClasses][]int
+
+	bytesOut, bytesIn int
+	sends, recvs      int64 // messages handed to / taken from the transport
+	finish            int   // round counter when the body returned
+	events            []Event
+}
+
+// reset prepares a reused Proc for a new run, keeping the capacity of
+// its counters and scratch.
+func (p *Proc) reset(gen uint64, prog int, body func(*Proc) error) {
+	p.gen, p.prog, p.body = gen, prog, body
+	p.round.Store(0)
+	p.done.Store(false)
+	st := &p.stats
+	st.roundMax, st.roundSends = st.roundMax[:0], st.roundSends[:0]
+	for c := range st.classRoundMax {
+		st.classRoundMax[c], st.classRoundSends[c] = st.classRoundMax[c][:0], st.classRoundSends[c][:0]
+	}
+	st.bytesOut, st.bytesIn, st.sends, st.recvs, st.finish = 0, 0, 0, 0, 0
+	st.events = st.events[:0]
+}
+
+// runBody executes the current run's body, turning a panic into the
+// rank's error, and records the final round.
+func (p *Proc) runBody() {
+	defer func() {
+		if r := recover(); r != nil {
+			p.crew.errs[p.rank] = fmt.Errorf("mpsim: processor %d panicked: %v", p.rank, r)
+		}
+		p.stats.finish = p.Round()
+		p.done.Store(true)
+	}()
+	p.crew.errs[p.rank] = p.body(p)
+}
+
+// recordSend counts one message handed to the transport.
+func (p *Proc) recordSend(dst, round, size int) {
+	st := &p.stats
+	for len(st.roundMax) <= round {
+		st.roundMax = append(st.roundMax, 0)
+		st.roundSends = append(st.roundSends, 0)
+	}
+	st.roundMax[round] = max(st.roundMax[round], size)
+	st.roundSends[round]++
+	st.bytesOut += size
+	st.sends++
+	class := ClassIntra
+	if g := p.engine.groupOf; g != nil {
+		if g[p.rank] != g[dst] {
+			class = ClassInter
+		}
+		for c := range st.classRoundMax {
+			for len(st.classRoundMax[c]) <= round {
+				st.classRoundMax[c] = append(st.classRoundMax[c], 0)
+				st.classRoundSends[c] = append(st.classRoundSends[c], 0)
+			}
+		}
+		st.classRoundMax[class][round] = max(st.classRoundMax[class][round], size)
+		st.classRoundSends[class][round]++
+	}
+	if p.engine.record {
+		st.events = append(st.events, Event{Round: round, Src: p.rank, Dst: dst, Size: size, Class: class})
+	}
+}
+
+// RoundScratch returns this processor's reusable round scratch: empty
+// send, source and buffer slices with capacity at least c, for building
+// the arguments of one exchange call. The slices persist across runs,
+// so a body that sizes them by its widest round (k ports times the
+// lanes of ExchangeOwned) allocates nothing in steady state. Each call
+// returns the same backing arrays: use them for one round at a time.
+func (p *Proc) RoundScratch(c int) ([]Send, []int, [][]byte) {
+	if cap(p.scratchSends) < c {
+		p.scratchSends = make([]Send, 0, c)
+		p.scratchFroms = make([]int, 0, c)
+		p.scratchBufs = make([][]byte, 0, c)
+	}
+	return p.scratchSends[:0], p.scratchFroms[:0], p.scratchBufs[:0]
 }
 
 // Rank returns the processor id, 0 <= rank < n.
@@ -95,9 +196,10 @@ func (p *Proc) ExchangeInto(sends []Send, from []int, into [][]byte) error {
 	return p.exchange(sends, from, into, nil, false, 1)
 }
 
-// ExchangeOwned is the pipelined round primitive: one communication
-// round that moves payloads by ownership transfer in both directions
-// and may multiplex up to lanes logical rounds over the ports.
+// ExchangeOwned is the ownership-transfer round primitive: one
+// communication round that moves payloads by ownership transfer in
+// both directions and may multiplex up to lanes logical rounds over the
+// ports (lanes is 1 for a plain round).
 //
 // Each sends[i].Data must be memory obtained from this processor's
 // AcquireBuf; it is handed to the transport as the message payload —
@@ -148,10 +250,10 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 			payload = p.AcquireBuf(len(s.Data))
 			copy(payload, s.Data)
 		}
-		p.metrics.recordSend(p.rank, s.To, round, len(payload))
 		if err := p.tr.Send(p.rank, s.To, message{round: round, gen: p.gen, data: payload}); err != nil {
 			return fmt.Errorf("mpsim: p%d round %d: send to p%d: %w", p.rank, round, s.To, err)
 		}
+		p.recordSend(s.To, round, len(payload))
 	}
 
 	for i, src := range from {
@@ -162,6 +264,7 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 		if err != nil {
 			return fmt.Errorf("mpsim: p%d round %d: receive from p%d: %w", p.rank, round, src, err)
 		}
+		p.stats.recvs++
 		if msg.gen != p.gen {
 			// Unreachable when the engine's fencing works: messages of an
 			// abandoned run live in an orphaned transport and residue of a
@@ -174,7 +277,7 @@ func (p *Proc) exchange(sends []Send, from []int, into [][]byte, out [][]byte, o
 			return fmt.Errorf("mpsim: p%d round %d: received message sent by p%d in round %d (misaligned schedule)",
 				p.rank, round, src, msg.round)
 		}
-		p.metrics.recordRecv(p.rank, round, len(msg.data))
+		p.stats.bytesIn += len(msg.data)
 		if into != nil {
 			if len(msg.data) != len(into[i]) {
 				return fmt.Errorf("mpsim: p%d round %d: received %d bytes from p%d into a %d-byte buffer",

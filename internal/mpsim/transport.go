@@ -140,9 +140,18 @@ func newChanTransport(n int) *chanTransport {
 
 func (t *chanTransport) Backend() Backend { return BackendChan }
 
+// Send and Recv try the mailbox alone first: a ready mailbox completes
+// without locking the abandoned channel, which every blocked processor
+// of the engine shares.
 func (t *chanTransport) Send(src, dst int, m message) error {
+	ch := t.mailbox[dst][src]
 	select {
-	case t.mailbox[dst][src] <- m:
+	case ch <- m:
+		return nil
+	default:
+	}
+	select {
+	case ch <- m:
 		return nil
 	case <-t.abandoned:
 		return errAbandoned
@@ -150,8 +159,14 @@ func (t *chanTransport) Send(src, dst int, m message) error {
 }
 
 func (t *chanTransport) Recv(dst, src int) (message, error) {
+	ch := t.mailbox[dst][src]
 	select {
-	case m := <-t.mailbox[dst][src]:
+	case m := <-ch:
+		return m, nil
+	default:
+	}
+	select {
+	case m := <-ch:
 		return m, nil
 	case <-t.abandoned:
 		return message{}, errAbandoned
