@@ -49,13 +49,15 @@ import (
 // any number of consecutive collective operations but is not safe for
 // concurrent use.
 //
-// Every collective call is routed through an internal plan cache keyed
-// by (operation, group, options, block size): the first call with a
-// configuration compiles its schedule, later calls replay the compiled
-// Plan with zero schedule recomputation. CompileIndex and CompileConcat
-// expose the plans directly, and RunPlans executes plans on disjoint
-// groups concurrently. The cache keys groups by pointer, so reuse the
-// *Group value (World, or a stored NewGroup result) to hit it.
+// Every collective call resolves its plan through one internal plan
+// cache lookup keyed by the call's plan spec (operation, group, block
+// size or layout, options): the first call with a configuration
+// compiles its schedule, later calls replay the compiled Plan with zero
+// schedule recomputation, and the least recently used plan is evicted
+// once the cache is full. CompileIndex and CompileConcat expose the
+// plans directly, and RunPlans executes plans on disjoint groups
+// concurrently. The cache keys groups by pointer, so reuse the *Group
+// value (World, or a stored NewGroup result) to hit it.
 type Machine struct {
 	engine *mpsim.Engine
 	world  *Group
@@ -362,7 +364,8 @@ type callConfig struct {
 	kernelTyp DataType
 	kernelSet bool
 	combine   CombineFunc
-	auto      *Profile
+	auto      *Profile // points at profile when WithAuto is set
+	profile   Profile
 	hier      bool
 	hierOpt   collective.HierOptions
 }
@@ -461,7 +464,7 @@ func WithLastRoundPolicy(p partition.Policy) CollectiveOption {
 // phase's class), and runs the winner. The verdict is memoized under
 // the topology's digest, so repeated auto calls cost one cache lookup.
 func WithAuto(p Profile) CollectiveOption {
-	return func(c *callConfig) { prof := p; c.auto = &prof }
+	return func(c *callConfig) { c.profile = p; c.auto = &c.profile }
 }
 
 // Hierarchical selects the two-level schedule for the fixed-size
@@ -578,53 +581,54 @@ func WithReduceAlgorithm(a ReduceAlgorithm) CollectiveOption {
 	return func(c *callConfig) { c.reduceAlg = a }
 }
 
-func (m *Machine) call(opts []CollectiveOption) callConfig {
-	cfg := callConfig{group: m.world}
+func (m *Machine) call(opts []CollectiveOption) *callConfig {
+	cfg := &callConfig{group: m.world}
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(cfg)
 	}
 	return cfg
 }
 
-// topoRouted reports whether a fixed-size call bypasses the flat
-// compilers: Hierarchical() forces the two-level schedule, and
-// WithAuto on a machine with a nontrivial topology runs the
-// flat-vs-hierarchical dispatch.
-func (m *Machine) topoRouted(cfg callConfig) bool {
-	return cfg.hier || (cfg.auto != nil && m.topo != nil && !m.topo.Trivial())
-}
-
-// errNoTopology guards the forced-hierarchical paths.
-func (m *Machine) hierTopo() (*Topology, error) {
-	if m.topo == nil {
-		return nil, fmt.Errorf("bruck: Hierarchical requires a machine created with WithTopology")
+// spec translates one call's configuration into the plan spec the
+// cache resolves; l is the layout of a ragged call and nil otherwise.
+func (m *Machine) spec(cfg *callConfig, op collective.Op, blockLen int, l *Layout) (collective.Spec, error) {
+	s := collective.Spec{
+		Op: op, BlockLen: blockLen, Layout: l,
+		Index: cfg.indexOpt, Radices: cfg.radices, Concat: cfg.concatOpt,
+		Hier: cfg.hier, HierOpt: cfg.hierOpt, Topology: m.topo, Auto: cfg.auto,
 	}
-	return m.topo, nil
-}
-
-// topoIndexPlan resolves a topology-routed index plan: the forced
-// hierarchical schedule, or the auto dispatcher's winner.
-func (m *Machine) topoIndexPlan(cfg callConfig, blockLen int) (*Plan, error) {
-	if cfg.hier {
-		topo, err := m.hierTopo()
-		if err != nil {
-			return nil, err
+	if op == collective.OpReduceScatter || op == collective.OpAllReduce {
+		var err error
+		if s.Reduce, err = cfg.reduceOptions(); err != nil {
+			return s, err
 		}
-		return m.plans.HierIndexPlan(m.engine, cfg.group, blockLen, topo, cfg.hierOpt)
 	}
-	return m.plans.AutoHierIndexPlan(m.engine, cfg.group, blockLen, m.topo)
+	if cfg.hier && l == nil && m.topo == nil {
+		return s, fmt.Errorf("bruck: Hierarchical requires a machine created with WithTopology")
+	}
+	return s, nil
 }
 
-// topoConcatPlan is topoIndexPlan for the concatenation.
-func (m *Machine) topoConcatPlan(cfg callConfig, blockLen int) (*Plan, error) {
-	if cfg.hier {
-		topo, err := m.hierTopo()
-		if err != nil {
-			return nil, err
-		}
-		return m.plans.HierConcatPlan(m.engine, cfg.group, blockLen, topo, cfg.hierOpt)
+// plan resolves one call's plan through the machine's plan cache.
+func (m *Machine) plan(opts []CollectiveOption, op collective.Op, blockLen int, l *Layout) (*Plan, error) {
+	cfg := m.call(opts)
+	s, err := m.spec(cfg, op, blockLen, l)
+	if err != nil {
+		return nil, err
 	}
-	return m.plans.AutoHierConcatPlan(m.engine, cfg.group, blockLen, m.topo, cfg.concatOpt.LastRound)
+	return m.plans.Plan(m.engine, cfg.group, s)
+}
+
+// runFlat resolves and executes one fixed-size call on flat buffers.
+func (m *Machine) runFlat(op collective.Op, in, out *Buffers, opts []CollectiveOption) (*Report, error) {
+	if in == nil || out == nil {
+		return nil, fmt.Errorf("bruck: nil flat buffer")
+	}
+	pl, err := m.plan(opts, op, in.BlockLen(), nil)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Execute(in, out)
 }
 
 // Index performs all-to-all personalized communication
@@ -637,38 +641,20 @@ func (m *Machine) topoConcatPlan(cfg callConfig, blockLen int) (*Plan, error) {
 // copied back out as fresh slices. Allocation-sensitive callers should
 // use IndexFlat.
 func (m *Machine) Index(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		return m.sliceRun(in, func(blockLen int) (*Plan, error) { return m.topoIndexPlan(cfg, blockLen) }, cfg)
-	}
-	if cfg.radices != nil {
-		return m.plans.IndexMixed(m.engine, cfg.group, in, cfg.radices)
-	}
-	return m.plans.Index(m.engine, cfg.group, in, cfg.indexOpt)
-}
-
-// sliceRun adapts a topology-routed plan to the legacy-slice matrix
-// shape: copy in, execute, copy out — the same adaptation Index and
-// AllReduce perform for flat plans inside the plan cache.
-func (m *Machine) sliceRun(in [][][]byte, plan func(blockLen int) (*Plan, error), cfg callConfig) ([][][]byte, *Report, error) {
 	fin, err := buffers.FromMatrix(in)
 	if err != nil {
 		return nil, nil, err
 	}
-	pl, err := plan(fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	n := cfg.group.Size()
+	n := m.call(opts).group.Size()
 	fout, err := buffers.New(n, n, fin.BlockLen())
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := pl.Execute(fin, fout)
+	rep, err := m.IndexFlat(fin, fout, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	return fout.ToMatrix(), res, nil
+	return fout.ToMatrix(), rep, nil
 }
 
 // Concat performs all-to-all broadcast (MPI_Allgather): in[i] is block
@@ -678,28 +664,20 @@ func (m *Machine) sliceRun(in [][][]byte, plan func(blockLen int) (*Plan, error)
 // Concat is a convenience adapter over ConcatFlat; allocation-sensitive
 // callers should use ConcatFlat.
 func (m *Machine) Concat(in [][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		fin, err := buffers.FromVector(in)
-		if err != nil {
-			return nil, nil, err
-		}
-		pl, err := m.topoConcatPlan(cfg, fin.BlockLen())
-		if err != nil {
-			return nil, nil, err
-		}
-		n := cfg.group.Size()
-		fout, err := buffers.New(n, n, fin.BlockLen())
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := pl.Execute(fin, fout)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fout.ToMatrix(), res, nil
+	fin, err := buffers.FromVector(in)
+	if err != nil {
+		return nil, nil, err
 	}
-	return m.plans.Concat(m.engine, cfg.group, in, cfg.concatOpt)
+	n := m.call(opts).group.Size()
+	fout, err := buffers.New(n, n, fin.BlockLen())
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := m.ConcatFlat(fin, fout, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fout.ToMatrix(), rep, nil
 }
 
 // Buffers is the flat block store of the zero-copy collective paths:
@@ -740,21 +718,7 @@ func NewConcatBuffers(n, blockLen int) (*Buffers, error) {
 // reused Machine the operation performs no per-block or per-message
 // allocations.
 func (m *Machine) IndexFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		if in == nil || out == nil {
-			return nil, fmt.Errorf("bruck: nil flat buffer")
-		}
-		pl, err := m.topoIndexPlan(cfg, in.BlockLen())
-		if err != nil {
-			return nil, err
-		}
-		return pl.Execute(in, out)
-	}
-	if cfg.radices != nil {
-		return m.plans.IndexMixedFlat(m.engine, cfg.group, in, out, cfg.radices)
-	}
-	return m.plans.IndexFlat(m.engine, cfg.group, in, out, cfg.indexOpt)
+	return m.runFlat(collective.OpIndex, in, out, opts)
 }
 
 // ConcatFlat is the zero-copy concatenation: in is a concat-shaped flat
@@ -764,18 +728,7 @@ func (m *Machine) IndexFlat(in, out *Buffers, opts ...CollectiveOption) (*Report
 // accumulation memory, so beyond pooled transport buffers the operation
 // allocates nothing on a reused Machine.
 func (m *Machine) ConcatFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		if in == nil || out == nil {
-			return nil, fmt.Errorf("bruck: nil flat buffer")
-		}
-		pl, err := m.topoConcatPlan(cfg, in.BlockLen())
-		if err != nil {
-			return nil, err
-		}
-		return pl.Execute(in, out)
-	}
-	return m.plans.ConcatFlat(m.engine, cfg.group, in, out, cfg.concatOpt)
+	return m.runFlat(collective.OpConcat, in, out, opts)
 }
 
 // Handle is the completion handle of a non-blocking collective
@@ -822,13 +775,17 @@ func (h *Handle) Report() *Report {
 	return h.rep
 }
 
-// async resolves a plan synchronously (the plan cache is confined to
-// the caller's goroutine), then executes it on a background goroutine
-// and returns immediately. planErr short-circuits: resolution failures
+// async resolves a fixed-size call's plan synchronously (the plan cache
+// is confined to the caller's goroutine), then executes it on a
+// background goroutine and returns immediately. Resolution failures
 // are synchronous, execution failures surface on Wait.
-func (m *Machine) async(pl *Plan, planErr error, in, out *Buffers) (*Handle, error) {
-	if planErr != nil {
-		return nil, planErr
+func (m *Machine) async(op collective.Op, in, out *Buffers, opts []CollectiveOption) (*Handle, error) {
+	if in == nil || out == nil {
+		return nil, fmt.Errorf("bruck: nil flat buffer")
+	}
+	pl, err := m.plan(opts, op, in.BlockLen(), nil)
+	if err != nil {
+		return nil, err
 	}
 	if !m.inflight.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("bruck: an asynchronous operation is already in flight (Wait on its Handle first)")
@@ -849,46 +806,19 @@ func (m *Machine) async(pl *Plan, planErr error, in, out *Buffers) (*Handle, err
 // the paper's C1*beta start-up term prices. in and out follow
 // IndexFlat's contract and belong to the operation until Wait.
 func (m *Machine) IndexAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	if m.topoRouted(cfg) {
-		pl, err := m.topoIndexPlan(cfg, in.BlockLen())
-		return m.async(pl, err, in, out)
-	}
-	if cfg.radices != nil {
-		pl, err := m.plans.IndexMixedPlan(m.engine, cfg.group, in.BlockLen(), cfg.radices)
-		return m.async(pl, err, in, out)
-	}
-	pl, err := m.plans.IndexPlan(m.engine, cfg.group, in.BlockLen(), cfg.indexOpt)
-	return m.async(pl, err, in, out)
+	return m.async(collective.OpIndex, in, out, opts)
 }
 
 // ConcatAsync is the non-blocking ConcatFlat; in is concat-shaped and
 // out index-shaped, as there.
 func (m *Machine) ConcatAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	if m.topoRouted(cfg) {
-		pl, err := m.topoConcatPlan(cfg, in.BlockLen())
-		return m.async(pl, err, in, out)
-	}
-	pl, err := m.plans.ConcatPlan(m.engine, cfg.group, in.BlockLen(), cfg.concatOpt)
-	return m.async(pl, err, in, out)
+	return m.async(collective.OpConcat, in, out, opts)
 }
 
 // AllReduceAsync is the non-blocking AllReduceFlat; in and out are both
 // index-shaped, as there.
 func (m *Machine) AllReduceAsync(in, out *Buffers, opts ...CollectiveOption) (*Handle, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	pl, err := m.reducePlan(cfg, AllReduceKind, in.BlockLen())
-	return m.async(pl, err, in, out)
+	return m.async(collective.OpAllReduce, in, out, opts)
 }
 
 // Layout describes the block-size structure of a ragged collective: a
@@ -920,25 +850,34 @@ type RaggedBuffers = buffers.Ragged
 // layout.
 func NewRaggedBuffers(l *Layout) (*RaggedBuffers, error) { return buffers.NewRagged(l) }
 
-// indexVPlan resolves the layout plan of one IndexV-family call:
-// auto-dispatched, mixed-radix, or the configured algorithm/radix, all
-// through the plan cache under layout-digest keys.
-func (m *Machine) indexVPlan(cfg callConfig, l *Layout) (*Plan, error) {
-	if cfg.auto != nil {
-		return m.plans.AutoIndexVPlan(m.engine, cfg.group, l, *cfg.auto)
+// sliceV resolves a ragged call's plan for fin's layout and executes it
+// into a fresh slab of the plan's output layout, returned as slices.
+func (m *Machine) sliceV(op collective.Op, fin *RaggedBuffers, opts []CollectiveOption) ([][][]byte, *Report, error) {
+	pl, err := m.plan(opts, op, 0, fin.Layout())
+	if err != nil {
+		return nil, nil, err
 	}
-	if cfg.radices != nil {
-		return m.plans.IndexVMixedPlan(m.engine, cfg.group, l, cfg.radices)
+	fout, err := buffers.NewRagged(pl.OutLayout())
+	if err != nil {
+		return nil, nil, err
 	}
-	return m.plans.IndexVPlan(m.engine, cfg.group, l, cfg.indexOpt)
+	rep, err := pl.ExecuteV(fin, fout)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fout.ToMatrix(), rep, nil
 }
 
-// concatVPlan is indexVPlan for the concatenation.
-func (m *Machine) concatVPlan(cfg callConfig, l *Layout) (*Plan, error) {
-	if cfg.auto != nil {
-		return m.plans.AutoConcatVPlan(m.engine, cfg.group, l, *cfg.auto, cfg.concatOpt.LastRound)
+// runV resolves and executes one ragged call on ragged slabs.
+func (m *Machine) runV(op collective.Op, in, out *RaggedBuffers, opts []CollectiveOption) (*Report, error) {
+	if in == nil || out == nil {
+		return nil, fmt.Errorf("bruck: nil ragged buffer")
 	}
-	return m.plans.ConcatVPlan(m.engine, cfg.group, l, cfg.concatOpt)
+	pl, err := m.plan(opts, op, 0, in.Layout())
+	if err != nil {
+		return nil, err
+	}
+	return pl.ExecuteV(in, out)
 }
 
 // IndexV performs all-to-all personalized communication with
@@ -951,24 +890,11 @@ func (m *Machine) concatVPlan(cfg callConfig, l *Layout) (*Plan, error) {
 // IndexV is a convenience adapter over IndexVFlat (one copy in, one
 // copy out); allocation-sensitive callers should use IndexVFlat.
 func (m *Machine) IndexV(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	cfg := m.call(opts)
 	fin, err := buffers.FromRaggedMatrix(in)
 	if err != nil {
 		return nil, nil, err
 	}
-	pl, err := m.indexVPlan(cfg, fin.Layout())
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.NewRagged(pl.OutLayout())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pl.ExecuteV(fin, fout)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return m.sliceV(collective.OpIndex, fin, opts)
 }
 
 // ConcatV performs all-to-all broadcast with variable-size
@@ -979,24 +905,11 @@ func (m *Machine) IndexV(in [][][]byte, opts ...CollectiveOption) ([][][]byte, *
 // ConcatV is a convenience adapter over ConcatVFlat; allocation-
 // sensitive callers should use ConcatVFlat.
 func (m *Machine) ConcatV(in [][]byte, opts ...CollectiveOption) ([][][]byte, *Report, error) {
-	cfg := m.call(opts)
 	fin, err := buffers.FromRaggedVector(in)
 	if err != nil {
 		return nil, nil, err
 	}
-	pl, err := m.concatVPlan(cfg, fin.Layout())
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.NewRagged(pl.OutLayout())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pl.ExecuteV(fin, fout)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
+	return m.sliceV(collective.OpConcat, fin, opts)
 }
 
 // IndexVFlat is the zero-copy ragged index: in is a RaggedBuffers of
@@ -1006,30 +919,14 @@ func (m *Machine) ConcatV(in [][]byte, opts ...CollectiveOption) ([][][]byte, *R
 // keys — so repeated layouts compile once, and on a reused Machine the
 // steady state performs no per-block or per-message allocations.
 func (m *Machine) IndexVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (*Report, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil ragged buffer")
-	}
-	pl, err := m.indexVPlan(cfg, in.Layout())
-	if err != nil {
-		return nil, err
-	}
-	return pl.ExecuteV(in, out)
+	return m.runV(collective.OpIndex, in, out, opts)
 }
 
 // ConcatVFlat is the zero-copy ragged concatenation: in is a
 // RaggedBuffers of the n x 1 contribution layout and out one of its
 // ConcatOut shape (afterwards out.Block(i, j) equals in.Block(j, 0)).
 func (m *Machine) ConcatVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) (*Report, error) {
-	cfg := m.call(opts)
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil ragged buffer")
-	}
-	pl, err := m.concatVPlan(cfg, in.Layout())
-	if err != nil {
-		return nil, err
-	}
-	return pl.ExecuteV(in, out)
+	return m.runV(collective.OpConcat, in, out, opts)
 }
 
 // CompileIndexV compiles (and caches) the ragged index schedule for the
@@ -1039,14 +936,20 @@ func (m *Machine) ConcatVFlat(in, out *RaggedBuffers, opts ...CollectiveOption) 
 // pair for RunPlans, where ragged and fixed-size plans may run
 // concurrently on disjoint groups.
 func (m *Machine) CompileIndexV(l *Layout, opts ...CollectiveOption) (*Plan, error) {
-	return m.indexVPlan(m.call(opts), l)
+	if l == nil {
+		return nil, fmt.Errorf("bruck: nil layout")
+	}
+	return m.plan(opts, collective.OpIndex, 0, l)
 }
 
 // CompileConcatV compiles (and caches) the ragged concatenation
 // schedule for the layout (circulant on padded slots, or the
 // exact-extent ring via WithConcatAlgorithm/WithAuto).
 func (m *Machine) CompileConcatV(l *Layout, opts ...CollectiveOption) (*Plan, error) {
-	return m.concatVPlan(m.call(opts), l)
+	if l == nil {
+		return nil, fmt.Errorf("bruck: nil layout")
+	}
+	return m.plan(opts, collective.OpConcat, 0, l)
 }
 
 // Plan is a compiled collective schedule: the complete round, partner
@@ -1066,14 +969,7 @@ type Plan = collective.Plan
 // exactly what IndexFlat would — IndexFlat itself is a thin wrapper
 // that compiles through the same cache and executes once.
 func (m *Machine) CompileIndex(blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		return m.topoIndexPlan(cfg, blockLen)
-	}
-	if cfg.radices != nil {
-		return m.plans.IndexMixedPlan(m.engine, cfg.group, blockLen, cfg.radices)
-	}
-	return m.plans.IndexPlan(m.engine, cfg.group, blockLen, cfg.indexOpt)
+	return m.plan(opts, collective.OpIndex, blockLen, nil)
 }
 
 // CompileConcat compiles (and caches) the concatenation schedule for
@@ -1083,11 +979,7 @@ func (m *Machine) CompileIndex(blockLen int, opts ...CollectiveOption) (*Plan, e
 // concat-shaped input (NewConcatBuffers) and an index-shaped output
 // (NewIndexBuffers).
 func (m *Machine) CompileConcat(blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	cfg := m.call(opts)
-	if m.topoRouted(cfg) {
-		return m.topoConcatPlan(cfg, blockLen)
-	}
-	return m.plans.ConcatPlan(m.engine, cfg.group, blockLen, cfg.concatOpt)
+	return m.plan(opts, collective.OpConcat, blockLen, nil)
 }
 
 // RunPlans executes several compiled plans concurrently inside one
@@ -1104,7 +996,7 @@ func (m *Machine) RunPlans(plans []*Plan) ([]*Report, error) {
 // reduceOptions resolves one reduction call's configuration into the
 // implementation options: the built-in kernel named by WithKernel (with
 // its element size and cache identity) or the raw WithCombine function.
-func (c callConfig) reduceOptions() (collective.ReduceOptions, error) {
+func (c *callConfig) reduceOptions() (collective.ReduceOptions, error) {
 	opt := collective.ReduceOptions{
 		Algorithm: c.reduceAlg,
 		Radix:     c.indexOpt.Radix,
@@ -1121,33 +1013,9 @@ func (c callConfig) reduceOptions() (collective.ReduceOptions, error) {
 		}
 		opt.Kernel = fn
 		opt.ElemSize = c.kernelTyp.Size()
-		opt.KernelKey = c.kernelOp.String() + "/" + c.kernelTyp.String()
+		opt.KernelKey = buffers.KernelKey(c.kernelOp, c.kernelTyp)
 	}
 	return opt, nil
-}
-
-// reducePlan resolves the plan of one reduction call: auto-dispatched
-// or the configured algorithm, through the plan cache (user kernels
-// compile fresh, see WithCombine).
-func (m *Machine) reducePlan(cfg callConfig, kind ReduceKind, blockLen int) (*Plan, error) {
-	opt, err := cfg.reduceOptions()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.hier {
-		topo, err := m.hierTopo()
-		if err != nil {
-			return nil, err
-		}
-		return m.plans.HierReducePlan(m.engine, cfg.group, kind, blockLen, topo, opt)
-	}
-	if cfg.auto != nil {
-		if m.topo != nil && !m.topo.Trivial() {
-			return m.plans.AutoHierReducePlan(m.engine, cfg.group, kind, blockLen, m.topo, opt)
-		}
-		return m.plans.AutoReducePlan(m.engine, cfg.group, kind, blockLen, opt, *cfg.auto)
-	}
-	return m.plans.ReducePlan(m.engine, cfg.group, kind, blockLen, opt)
 }
 
 // ReduceScatterFlat is the zero-copy reduce-scatter: in is an
@@ -1160,14 +1028,7 @@ func (m *Machine) reducePlan(cfg callConfig, kind ReduceKind, blockLen int) (*Pl
 // copy. ReduceScatterFlat routes through the plan cache exactly like
 // IndexFlat.
 func (m *Machine) ReduceScatterFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	pl, err := m.reducePlan(m.call(opts), ReduceScatterKind, in.BlockLen())
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return m.runFlat(collective.OpReduceScatter, in, out, opts)
 }
 
 // AllReduceFlat is the zero-copy allreduce: in and out are both
@@ -1179,14 +1040,7 @@ func (m *Machine) ReduceScatterFlat(in, out *Buffers, opts ...CollectiveOption) 
 // followed by the paper's circulant concatenation, inside one simulated
 // run.
 func (m *Machine) AllReduceFlat(in, out *Buffers, opts ...CollectiveOption) (*Report, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("bruck: nil flat buffer")
-	}
-	pl, err := m.reducePlan(m.call(opts), AllReduceKind, in.BlockLen())
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
+	return m.runFlat(collective.OpAllReduce, in, out, opts)
 }
 
 // ReduceScatter is the legacy-slice reduce-scatter: in[i][j] is group
@@ -1245,7 +1099,11 @@ func (m *Machine) AllReduce(in [][][]byte, opts ...CollectiveOption) ([][][]byte
 // With WithAuto the returned plan is the cost-model winner over the
 // candidate reduce-scatter schedules.
 func (m *Machine) CompileReduce(kind ReduceKind, blockLen int, opts ...CollectiveOption) (*Plan, error) {
-	return m.reducePlan(m.call(opts), kind, blockLen)
+	op := collective.OpReduceScatter
+	if kind == AllReduceKind {
+		op = collective.OpAllReduce
+	}
+	return m.plan(opts, op, blockLen, nil)
 }
 
 // Typed element views, re-exported from the buffer layer: encode typed

@@ -630,3 +630,72 @@ func TestPlanReuseSteadyStateAllocs(t *testing.T) {
 		t.Errorf("plan-reuse index allocates %.0f/op at n=16 but %.0f/op at n=64; want independent of n", allocs[16], allocs[64])
 	}
 }
+
+// TestPlanLookupAllocs pins the warm plan lookup of every route to the
+// flat fixed-size hit's allocations (the call's option state): the key
+// of a topology, auto profile, kernel or layout costs nothing extra.
+// Mixed-radix calls are left out because WithRadices copies its
+// argument by contract.
+func TestPlanLookupAllocs(t *testing.T) {
+	const n, b = 16, 1024
+	topo, err := NewTopology([]int{4, 4, 4, 4}, SP1, ScaledProfile(SP1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := MustNewMachine(n, Ports(2))
+	tm := MustNewMachine(n, Ports(2), WithTopology(topo))
+	counts := make([][]int, n)
+	for i := range counts {
+		counts[i] = make([]int, n)
+		for j := range counts[i] {
+			counts[i][j] = 1 + (i*7+j*3)%64
+		}
+	}
+	l, err := NewIndexLayout(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewConcatLayout(counts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := WithKernel(ReduceSum, Float32)
+	routes := []struct {
+		name    string
+		compile func() (*Plan, error)
+	}{
+		{"index", func() (*Plan, error) { return flat.CompileIndex(b) }},
+		{"index radix", func() (*Plan, error) { return flat.CompileIndex(b, WithRadix(2), WithSegments(4)) }},
+		{"concat", func() (*Plan, error) { return flat.CompileConcat(b, WithLastRoundPolicy(LastRoundMinRounds)) }},
+		{"reduce-scatter", func() (*Plan, error) { return flat.CompileReduce(ReduceScatterKind, b, sum) }},
+		{"allreduce", func() (*Plan, error) { return flat.CompileReduce(AllReduceKind, b, sum) }},
+		{"auto allreduce", func() (*Plan, error) { return flat.CompileReduce(AllReduceKind, b, sum, WithAuto(SP1)) }},
+		{"indexV", func() (*Plan, error) { return flat.CompileIndexV(l) }},
+		{"auto indexV", func() (*Plan, error) { return flat.CompileIndexV(l, WithAuto(SP1)) }},
+		{"auto concatV", func() (*Plan, error) { return flat.CompileConcatV(cl, WithAuto(SP1)) }},
+		{"topology auto index", func() (*Plan, error) { return tm.CompileIndex(b, WithAuto(SP1)) }},
+		{"topology auto concat", func() (*Plan, error) { return tm.CompileConcat(b, WithAuto(SP1)) }},
+		{"topology auto allreduce", func() (*Plan, error) { return tm.CompileReduce(AllReduceKind, b, sum, WithAuto(SP1)) }},
+		{"hierarchical index", func() (*Plan, error) { return tm.CompileIndex(b, Hierarchical(), WithHierRadices(2, 2)) }},
+		{"hierarchical concat", func() (*Plan, error) { return tm.CompileConcat(b, Hierarchical()) }},
+		{"hierarchical allreduce", func() (*Plan, error) { return tm.CompileReduce(AllReduceKind, b, sum, Hierarchical()) }},
+	}
+	var base float64
+	for i, r := range routes {
+		first, err := r.compile()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		var again *Plan
+		allocs := testing.AllocsPerRun(50, func() { again, err = r.compile() })
+		if err != nil || again != first {
+			t.Fatalf("%s: warm lookup missed the cache (err %v)", r.name, err)
+		}
+		if i == 0 {
+			base = allocs
+		}
+		if allocs > base {
+			t.Errorf("%s: warm lookup allocates %.0f/op, the flat fixed-size hit %.0f/op", r.name, allocs, base)
+		}
+	}
+}

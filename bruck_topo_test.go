@@ -239,3 +239,67 @@ func TestTopologyCriticalPath(t *testing.T) {
 		t.Error("CriticalPathTopoTime without WithTopology must error")
 	}
 }
+
+// TestTopologyAutoVerdictPerPolicy: on a topology machine the auto
+// verdicts of the concatenation and the allreduce depend on the
+// last-round policy, because their flat candidates compile with it.
+// After a call under every other policy, each policy's verdict must
+// still equal a fresh machine's. (At 4x4, k = 2, b = 1024 the verdict
+// memoized under the default policy has C2 7680, while a fresh
+// machine's LastRoundMinRounds verdict has C2 8192.)
+func TestTopologyAutoVerdictPerPolicy(t *testing.T) {
+	const n, k, b = 16, 2, 1024
+	topo := topo4x4(t)
+	policies := []CollectiveOption{
+		WithLastRoundPolicy(LastRoundPreferOptimal),
+		WithLastRoundPolicy(LastRoundMinRounds),
+		WithLastRoundPolicy(LastRoundMinVolume),
+	}
+	ops := map[string]func(m *Machine, policy CollectiveOption) (*Plan, error){
+		"concat": func(m *Machine, policy CollectiveOption) (*Plan, error) {
+			return m.CompileConcat(b, WithAuto(SP1), policy)
+		},
+		"allreduce": func(m *Machine, policy CollectiveOption) (*Plan, error) {
+			return m.CompileReduce(AllReduceKind, b, WithAuto(SP1), WithKernel(ReduceSum, Int32), policy)
+		},
+	}
+	for name, compile := range ops {
+		for want := range policies {
+			fresh, err := compile(MustNewMachine(n, Ports(k), WithTopology(topo)), policies[want])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for before := range policies {
+				if before == want {
+					continue
+				}
+				m := MustNewMachine(n, Ports(k), WithTopology(topo))
+				if _, err := compile(m, policies[before]); err != nil {
+					t.Fatal(err)
+				}
+				got, err := compile(m, policies[want])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Algorithm() != fresh.Algorithm() || got.Rounds() != fresh.Rounds() || got.PredictedC2() != fresh.PredictedC2() {
+					t.Errorf("%s policy %d after policy %d: verdict %s C1=%d C2=%d, fresh machine gives %s C1=%d C2=%d",
+						name, want, before, got.Algorithm(), got.Rounds(), got.PredictedC2(),
+						fresh.Algorithm(), fresh.Rounds(), fresh.PredictedC2())
+				}
+			}
+		}
+	}
+}
+
+// TestTopologyHierReduceScatterAfterAllReduce: the hierarchical
+// schedule exists for the allreduce only, and a cached hierarchical
+// allreduce must not be served for a reduce-scatter request.
+func TestTopologyHierReduceScatterAfterAllReduce(t *testing.T) {
+	m := MustNewMachine(16, WithTopology(topo4x4(t)))
+	if _, err := m.CompileReduce(AllReduceKind, 8, WithKernel(ReduceSum, Int32), Hierarchical()); err != nil {
+		t.Fatal(err)
+	}
+	if pl, err := m.CompileReduce(ReduceScatterKind, 8, WithKernel(ReduceSum, Int32), Hierarchical()); err == nil {
+		t.Errorf("hierarchical reduce-scatter accepted, got a %s plan", pl.Op())
+	}
+}

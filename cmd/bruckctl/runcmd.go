@@ -515,10 +515,13 @@ func runRagged(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
 		kv.Add("zero_length_blocks", zeros)
 		kv.Add("c2_lower_bound", lowerbound.IndexVVolume(counts, p.k))
 
-		defPlan, defErr := cache.IndexVPlan(e, g, l, collective.IndexOptions{})
-		maxPlan, maxErr := cache.IndexVPlan(e, g, l, collective.IndexOptions{Radix: p.n})
-		dirPlan, dirErr := cache.IndexVPlan(e, g, l, collective.IndexOptions{Algorithm: collective.IndexDirect})
-		autoPlan, autoErr := cache.AutoIndexVPlan(e, g, l, costmodel.SP1)
+		indexV := func(opt collective.IndexOptions, auto *costmodel.Profile) (*collective.Plan, error) {
+			return cache.Plan(e, g, collective.Spec{Op: collective.OpIndex, Layout: l, Index: opt, Auto: auto})
+		}
+		defPlan, defErr := indexV(collective.IndexOptions{}, nil)
+		maxPlan, maxErr := indexV(collective.IndexOptions{Radix: p.n}, nil)
+		dirPlan, dirErr := indexV(collective.IndexOptions{Algorithm: collective.IndexDirect}, nil)
+		autoPlan, autoErr := indexV(collective.IndexOptions{}, &costmodel.SP1)
 		plans := []studyEntry{
 			{"bruck r=k+1", defPlan, defErr},
 			{fmt.Sprintf("bruck r=%d", p.n), maxPlan, maxErr},
@@ -586,9 +589,12 @@ func runRagged(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
 		kv.Add("largest_block", l.Max())
 		kv.Add("c2_lower_bound", lowerbound.ConcatVVolume(counts, p.k))
 
-		circ, cerr := cache.ConcatVPlan(e, g, l, collective.ConcatOptions{})
-		ring, rerr := cache.ConcatVPlan(e, g, l, collective.ConcatOptions{Algorithm: collective.ConcatRing})
-		auto, aerr := cache.AutoConcatVPlan(e, g, l, costmodel.SP1, 0)
+		concatV := func(opt collective.ConcatOptions, auto *costmodel.Profile) (*collective.Plan, error) {
+			return cache.Plan(e, g, collective.Spec{Op: collective.OpConcat, Layout: l, Concat: opt, Auto: auto})
+		}
+		circ, cerr := concatV(collective.ConcatOptions{}, nil)
+		ring, rerr := concatV(collective.ConcatOptions{Algorithm: collective.ConcatRing}, nil)
+		auto, aerr := concatV(collective.ConcatOptions{}, &costmodel.SP1)
 		for _, en := range []studyEntry{
 			{"circulant", circ, cerr},
 			{"ring", ring, rerr},
@@ -835,14 +841,14 @@ func runReduce(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
 	if err != nil {
 		return err
 	}
-	kind := collective.ReduceScatterKind
+	kind, op := collective.ReduceScatterKind, collective.OpReduceScatter
 	if p.op == "allreduce" {
-		kind = collective.AllReduceKind
+		kind, op = collective.AllReduceKind, collective.OpAllReduce
 	}
 	opt := collective.ReduceOptions{
 		Kernel:    fn,
 		ElemSize:  rtyp.Size(),
-		KernelKey: rop.String() + "/" + rtyp.String(),
+		KernelKey: buffers.KernelKey(rop, rtyp),
 	}
 	auto := false
 	switch p.alg {
@@ -870,10 +876,9 @@ func runReduce(rp *reporter, p params, e *mpsim.Engine, g *mpsim.Group) error {
 	}
 	opt.Segments = seg
 
-	cache := collective.NewPlanCache()
 	var plan *collective.Plan
 	if auto {
-		plan, err = cache.AutoReducePlan(e, g, kind, p.b, opt, costmodel.SP1)
+		plan, err = collective.NewPlanCache().Plan(e, g, collective.Spec{Op: op, BlockLen: p.b, Reduce: opt, Auto: &costmodel.SP1})
 	} else {
 		plan, err = collective.CompileReduce(e, g, kind, p.b, opt)
 	}

@@ -120,7 +120,7 @@ func runTopology(rp *reporter, p params) error {
 		if kerr != nil {
 			return kerr
 		}
-		ropt = collective.ReduceOptions{Kernel: fn, ElemSize: rtyp.Size(), KernelKey: rop.String() + "/" + rtyp.String()}
+		ropt = collective.ReduceOptions{Kernel: fn, ElemSize: rtyp.Size(), KernelKey: buffers.KernelKey(rop, rtyp)}
 	}
 
 	var hier *collective.Plan

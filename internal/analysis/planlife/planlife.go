@@ -15,12 +15,16 @@
 //     same function. (The runtime rejects this too; the analyzer moves
 //     the error to compile time where the function makes it obvious.)
 //
-//   - cache-key completeness: a function that takes an Options struct
-//     and builds a planCacheKey must read every Options field somewhere
-//     in its body — a field that never flows into the key (or into the
-//     logic deriving it) makes two distinct configurations collide in
-//     the cache. Intentional omissions carry //lint:allow planlife with
-//     the reason.
+//   - cache-key completeness: the function deriving the cache key
+//     from a Spec (a Spec parameter or receiver and a planKey result)
+//     must read every Spec field, and every field of a struct-valued
+//     Spec field such as the option structs — a field that never flows
+//     into the key makes two distinct specs share one cached plan. A
+//     field counts as read when a selector reaches it or an enclosing
+//     field (s.Index covers s.Index.Radix); a bare use of the spec
+//     counts as reading everything. A missing field is reported at its
+//     declaration, so an intentional omission carries
+//     //lint:allow planlife with the reason right there.
 //
 // It also enforces the async Handle ownership contract of the Machine
 // front door (IndexAsync/ConcatAsync/AllReduceAsync in the root bruck
@@ -43,7 +47,7 @@ package planlife
 import (
 	"go/ast"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 
 	"bruck/internal/analysis"
@@ -52,7 +56,7 @@ import (
 // Analyzer is the planlife analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "planlife",
-	Doc:  "flags plan mutation after compile, engine mismatch at ExecutePlans, incomplete plan cache keys, and async Handle misuse",
+	Doc:  "flags plan mutation after compile, engine mismatch at ExecutePlans, Spec fields missing from the plan cache key, and async Handle misuse",
 	Run:  run,
 }
 
@@ -379,73 +383,125 @@ func checkHandles(pass *analysis.Pass, decl *ast.FuncDecl) {
 	})
 }
 
-// checkCacheKey flags planCacheKey construction that ignores fields of
-// the function's Options parameter.
+// checkCacheKey flags Spec fields the Spec -> planKey function never
+// reads.
 func checkCacheKey(pass *analysis.Pass, decl *ast.FuncDecl) {
-	if decl.Type.Params == nil {
+	if !returnsPlanKey(pass, decl) {
 		return
 	}
-	// Find the Options-typed parameter, if any.
-	var optObj types.Object
-	var optStruct *types.Struct
-	for _, field := range decl.Type.Params.List {
+	var specObj types.Object
+	var params []*ast.Field
+	if decl.Recv != nil {
+		params = append(params, decl.Recv.List...)
+	}
+	params = append(params, decl.Type.Params.List...)
+	for _, field := range params {
 		for _, name := range field.Names {
-			obj := pass.Info.ObjectOf(name)
-			if obj == nil {
-				continue
+			if obj := pass.Info.ObjectOf(name); obj != nil && analysis.IsNamedType(obj.Type(), "collective", "Spec") {
+				specObj = obj
 			}
-			named := analysis.NamedOf(obj.Type())
-			if named == nil || !strings.HasSuffix(named.Obj().Name(), "Options") || !analysis.PkgSuffix(named.Obj().Pkg(), "collective") {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			optObj, optStruct = obj, st
 		}
 	}
-	if optObj == nil {
+	if specObj == nil {
 		return
 	}
-	// Find a planCacheKey composite literal.
-	var keyLit *ast.CompositeLit
+	spec, ok := analysis.NamedOf(specObj.Type()).Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	// Collect the field paths the body reads off the spec.
+	var reads [][]string
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		if tv, ok := pass.Info.Types[ast.Expr(lit)]; ok && analysis.IsNamedType(tv.Type, "collective", "planCacheKey") {
-			keyLit = lit
-			return false
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			path, rooted := fieldPath(pass.Info, x, specObj)
+			if rooted {
+				reads = append(reads, path)
+				return false
+			}
+		case *ast.Ident:
+			if pass.Info.ObjectOf(x) == specObj {
+				reads = append(reads, nil) // the whole spec
+			}
 		}
 		return true
 	})
-	if keyLit == nil {
-		return
+	for _, f := range requiredFields(spec, nil) {
+		if covered(f.path, reads) {
+			continue
+		}
+		pos := decl.Name.Pos()
+		if f.v.Pkg() == pass.Pkg {
+			pos = f.v.Pos()
+		}
+		pass.Reportf(pos, "Spec field %s never reaches the cache key built by %s; specs differing only there would share one cached plan",
+			strings.Join(f.path, "."), decl.Name.Name)
 	}
-	// Every Options field must be read somewhere in the function.
-	used := map[string]bool{}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
+}
+
+// returnsPlanKey reports whether the function returns a planKey.
+func returnsPlanKey(pass *analysis.Pass, decl *ast.FuncDecl) bool {
+	if decl.Type.Results == nil {
+		return false
+	}
+	for _, r := range decl.Type.Results.List {
+		if tv, ok := pass.Info.Types[r.Type]; ok && analysis.IsNamedType(tv.Type, "collective", "planKey") {
 			return true
 		}
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pass.Info.ObjectOf(id) == optObj {
-			used[sel.Sel.Name] = true
-		}
-		return true
-	})
-	var missing []string
-	for i := 0; i < optStruct.NumFields(); i++ {
-		if name := optStruct.Field(i).Name(); !used[name] {
-			missing = append(missing, name)
+	}
+	return false
+}
+
+// fieldPath returns the chain of field names sel reads off root (method
+// selections dropped: s.Layout.Digest reads Layout), and whether the
+// chain is rooted at root at all.
+func fieldPath(info *types.Info, sel *ast.SelectorExpr, root types.Object) ([]string, bool) {
+	var path []string
+	var e ast.Expr = sel
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if s, ok := info.Selections[x]; ok && s.Kind() == types.FieldVal {
+				path = append([]string{x.Sel.Name}, path...)
+			}
+			e = x.X
+		case *ast.Ident:
+			return path, info.ObjectOf(x) == root
+		default:
+			return nil, false
 		}
 	}
-	if len(missing) == 0 {
-		return
+}
+
+type specField struct {
+	path []string
+	v    *types.Var
+}
+
+// requiredFields lists the fields of st a complete key reads: every
+// field, expanded into its own fields when it is a struct value.
+func requiredFields(st *types.Struct, prefix []string) []specField {
+	var out []specField
+	for i := 0; i < st.NumFields(); i++ {
+		v := st.Field(i)
+		path := append(append([]string(nil), prefix...), v.Name())
+		if inner, ok := v.Type().Underlying().(*types.Struct); ok {
+			out = append(out, requiredFields(inner, path)...)
+			continue
+		}
+		out = append(out, specField{path: path, v: v})
 	}
-	sort.Strings(missing)
-	pass.Reportf(keyLit.Pos(), "cache key ignores %s field(s) %s; configurations differing only there would collide in the plan cache",
-		analysis.NamedOf(optObj.Type()).Obj().Name(), strings.Join(missing, ", "))
+	return out
+}
+
+// covered reports whether some read reaches the field: the read path
+// and the field path agree on their common prefix.
+func covered(field []string, reads [][]string) bool {
+	for _, r := range reads {
+		n := min(len(r), len(field))
+		if slices.Equal(r[:n], field[:n]) {
+			return true
+		}
+	}
+	return false
 }

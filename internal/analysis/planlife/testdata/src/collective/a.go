@@ -1,6 +1,6 @@
 // Package collective is a structural fixture for the planlife
-// analyzer: it mirrors the real package's shapes (a Plan type, a
-// planCacheKey, Options structs, ExecutePlans) so the analyzer's
+// analyzer: it mirrors the real package's shapes (a Plan type, a Spec
+// with option structs, a planKey, ExecutePlans) so the analyzer's
 // suffix-based type matching applies without importing unexported
 // internals.
 package collective
@@ -12,13 +12,33 @@ type Plan struct {
 	engine *mpsim.Engine
 }
 
-type planCacheKey struct {
-	alg, radix int
-}
-
 type FakeOptions struct {
 	Algorithm int
 	Radix     int
+}
+
+type ReduceOptions struct {
+	Algorithm int
+	Radix     int    // want "Spec field Reduce.Radix never reaches the cache key built by key"
+	Kernel    func() //lint:allow planlife not comparable; Algorithm stands in for it
+}
+
+type Layout struct{ rows, cols int }
+
+func (l *Layout) Digest() uint64 { return uint64(l.rows*31 + l.cols) }
+
+// Spec mirrors the real plan spec: key below must read every field.
+type Spec struct {
+	Op      int
+	Layout  *Layout
+	Fake    FakeOptions
+	Reduce  ReduceOptions
+	Dropped int // want "Spec field Dropped never reaches the cache key built by key"
+}
+
+type planKey struct {
+	op, alg, radix, ralg int
+	layout               uint64
 }
 
 // CompileFake is compile-pipeline by name: field writes are fine here.
@@ -59,20 +79,20 @@ func rightEngine(e *mpsim.Engine, opt FakeOptions) error {
 	return ExecutePlans(e, []*Plan{pl})
 }
 
-func partialKey(opt FakeOptions) planCacheKey {
-	return planCacheKey{alg: opt.Algorithm} // want "cache key ignores FakeOptions"
-}
-
-func fullKey(opt FakeOptions) planCacheKey {
-	return planCacheKey{alg: opt.Algorithm, radix: opt.Radix}
-}
-
-// derivedKey reads every field even though only a derivation enters the
-// literal; that is complete.
-func derivedKey(opt FakeOptions) planCacheKey {
-	radix := opt.Radix
-	if opt.Algorithm == 0 {
-		radix = 0
+// key reads Fake whole (covering its fields), Layout through a method,
+// and Reduce field by field — but never Reduce.Radix or Dropped.
+func (s Spec) key() planKey {
+	k := planKey{op: s.Op, ralg: s.Reduce.Algorithm}
+	fake := s.Fake
+	k.alg, k.radix = fake.Algorithm, fake.Radix
+	if s.Layout != nil {
+		k.layout = s.Layout.Digest()
 	}
-	return planCacheKey{alg: opt.Algorithm, radix: radix}
+	return k
+}
+
+// keyOf takes the spec as a parameter and hands it on whole: that
+// counts as reading every field.
+func keyOf(s Spec) planKey {
+	return s.key()
 }

@@ -361,13 +361,11 @@ func collectivesSuite() []Bench {
 		for x, data := 0, vin.Bytes(); x < len(data); x++ {
 			data[x] = byte(x*3 + 1)
 		}
-		cache := collective.NewPlanCache()
-		var pl *collective.Plan
+		spec := collective.Spec{Op: collective.OpIndex, Layout: l, Index: collective.IndexOptions{Radix: 2}}
 		if auto {
-			pl, err = cache.AutoIndexVPlan(e, g, l, costmodel.SP1)
-		} else {
-			pl, err = cache.IndexVPlan(e, g, l, collective.IndexOptions{Radix: 2})
+			spec.Auto = &costmodel.SP1
 		}
+		pl, err := collective.NewPlanCache().Plan(e, g, spec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -787,8 +785,9 @@ func reduceSuite() []Bench {
 		s = append(s, Bench{area, "allreduce/auto/" + string(backend), func() (func() error, func() (int, int), error) {
 			e := mpsim.MustNew(suiteN, mpsim.WithTransport(backend))
 			g := mpsim.WorldGroup(suiteN)
-			cache := collective.NewPlanCache()
-			pl, err := cache.AutoReducePlan(e, g, collective.AllReduceKind, suiteSize, baseOpt, costmodel.SP1)
+			pl, err := collective.NewPlanCache().Plan(e, g, collective.Spec{
+				Op: collective.OpAllReduce, BlockLen: suiteSize, Reduce: baseOpt, Auto: &costmodel.SP1,
+			})
 			if err != nil {
 				return nil, nil, err
 			}

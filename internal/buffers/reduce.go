@@ -97,50 +97,65 @@ func (op ReduceOp) String() string {
 // never overlap; implementations must not retain either slice.
 type CombineFunc func(dst, src []byte)
 
+// builtinKernels holds every built-in kernel, indexed [type][op]. It is
+// built once, so resolving a kernel allocates nothing.
+var builtinKernels = [...][3]CombineFunc{
+	Int32: {
+		Sum: combineInt32(func(a, b int32) int32 { return a + b }),
+		Min: combineInt32(func(a, b int32) int32 { return min(a, b) }),
+		Max: combineInt32(func(a, b int32) int32 { return max(a, b) }),
+	},
+	Int64: {
+		Sum: combineInt64(func(a, b int64) int64 { return a + b }),
+		Min: combineInt64(func(a, b int64) int64 { return min(a, b) }),
+		Max: combineInt64(func(a, b int64) int64 { return max(a, b) }),
+	},
+	Float32: {
+		Sum: combineFloat32(func(a, b float32) float32 { return a + b }),
+		Min: combineFloat32(func(a, b float32) float32 { return min(a, b) }),
+		Max: combineFloat32(func(a, b float32) float32 { return max(a, b) }),
+	},
+	Float64: {
+		Sum: combineFloat64(func(a, b float64) float64 { return a + b }),
+		Min: combineFloat64(func(a, b float64) float64 { return min(a, b) }),
+		Max: combineFloat64(func(a, b float64) float64 { return max(a, b) }),
+	},
+}
+
+// kernelKeys names every built-in kernel "op/type", indexed like
+// builtinKernels.
+var kernelKeys = func() (keys [len(builtinKernels)][3]string) {
+	for t := range keys {
+		for op := range keys[t] {
+			keys[t][op] = ReduceOp(op).String() + "/" + DataType(t).String()
+		}
+	}
+	return keys
+}()
+
+func builtin(op ReduceOp, t DataType) bool {
+	return t >= 0 && int(t) < len(builtinKernels) && op >= 0 && int(op) < len(builtinKernels[t])
+}
+
 // Kernel returns the built-in CombineFunc for one (op, type) pair. The
 // slabs handed to the kernel must hold whole elements (length divisible
 // by t.Size()); the reduction entry points validate that at compile
 // time.
 func Kernel(op ReduceOp, t DataType) (CombineFunc, error) {
-	switch t {
-	case Int32:
-		switch op {
-		case Sum:
-			return combineInt32(func(a, b int32) int32 { return a + b }), nil
-		case Min:
-			return combineInt32(func(a, b int32) int32 { return min(a, b) }), nil
-		case Max:
-			return combineInt32(func(a, b int32) int32 { return max(a, b) }), nil
-		}
-	case Int64:
-		switch op {
-		case Sum:
-			return combineInt64(func(a, b int64) int64 { return a + b }), nil
-		case Min:
-			return combineInt64(func(a, b int64) int64 { return min(a, b) }), nil
-		case Max:
-			return combineInt64(func(a, b int64) int64 { return max(a, b) }), nil
-		}
-	case Float32:
-		switch op {
-		case Sum:
-			return combineFloat32(func(a, b float32) float32 { return a + b }), nil
-		case Min:
-			return combineFloat32(func(a, b float32) float32 { return min(a, b) }), nil
-		case Max:
-			return combineFloat32(func(a, b float32) float32 { return max(a, b) }), nil
-		}
-	case Float64:
-		switch op {
-		case Sum:
-			return combineFloat64(func(a, b float64) float64 { return a + b }), nil
-		case Min:
-			return combineFloat64(func(a, b float64) float64 { return min(a, b) }), nil
-		case Max:
-			return combineFloat64(func(a, b float64) float64 { return max(a, b) }), nil
-		}
+	if !builtin(op, t) {
+		return nil, fmt.Errorf("buffers: no kernel for %v over %v", op, t)
 	}
-	return nil, fmt.Errorf("buffers: no kernel for %v over %v", op, t)
+	return builtinKernels[t][op], nil
+}
+
+// KernelKey returns the name "op/type" under which plans compiled for a
+// built-in kernel are cached, or "" (uncacheable) for a pair with no
+// kernel. It allocates nothing.
+func KernelKey(op ReduceOp, t DataType) string {
+	if !builtin(op, t) {
+		return ""
+	}
+	return kernelKeys[t][op]
 }
 
 func combineInt32(f func(a, b int32) int32) CombineFunc {

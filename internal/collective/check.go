@@ -73,7 +73,7 @@ func (pl *Plan) Check() []string {
 		return v
 	}
 	switch pl.op {
-	case opIndex:
+	case OpIndex:
 		if pl.ialg == IndexBruck {
 			pl.checkIndexRounds(n, k, add)
 			pl.simulateIndex(n, add)
@@ -85,7 +85,7 @@ func (pl *Plan) Check() []string {
 					pl.ialg, pl.c1, pl.c2, c1, c1*pl.blockLen)
 			}
 		}
-	case opConcat:
+	case OpConcat:
 		if pl.calg == ConcatCirculant {
 			pl.checkCirculant(n, k, add)
 		} else if pl.layout == nil {
@@ -103,7 +103,7 @@ func (pl *Plan) Check() []string {
 					pl.calg, pl.c1, pl.c2, c1, c2)
 			}
 		}
-	case opReduceScatter, opAllReduce:
+	case OpReduceScatter, OpAllReduce:
 		// Reduction round tables reuse the index machinery; their replay
 		// semantics differ (combine instead of overwrite), so they get the
 		// structural checks but not the transpose simulation. A pipelined
@@ -116,7 +116,7 @@ func (pl *Plan) Check() []string {
 				pl.checkSegmentSpans(add)
 			}
 		}
-		if pl.op == opAllReduce && (len(pl.dbl) > 0 || len(pl.last) > 0 || pl.trivial) {
+		if pl.op == OpAllReduce && (len(pl.dbl) > 0 || len(pl.last) > 0 || pl.trivial) {
 			pl.checkCirculantShape(n, k, add)
 		}
 	}

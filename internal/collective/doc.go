@@ -43,9 +43,24 @@
 // last-round table partition and its area offsets), plus pool-sizing
 // hints. Plan.Execute replays the schedule with zero recomputation;
 // the one-shot entry points above are thin compile-and-execute
-// wrappers, and PlanCache memoizes plans per (op, group, options,
-// block size) so repeated configurations — the public Machine API
-// routes everything through a cache — compile exactly once.
+// wrappers.
+//
+// PlanCache is the one lookup in front of the compilers (plancache.go).
+// A Spec names a plan: the op, the block size or layout, the index,
+// concat and reduce options, the mixed radices, the hierarchical flag
+// with its options and the topology, and an optional auto profile.
+// PlanCache.Plan normalizes the spec (zeroing every field its compiler
+// ignores, so equivalent specs share one entry), derives the key
+// (layouts, topologies and radix vectors by digest, the kernel by its
+// KernelKey, the auto profile by its Beta and Tau), confirms a hit
+// against the stored spec, and on a miss compiles through one switch
+// over the Compile functions. An auto spec lists its candidate specs
+// in a fixed order, resolves each through Plan, prices them with
+// Plan.Time (or Plan.TimeTopo on a topology) and memoizes the winner,
+// so a repeated auto call is one lookup. The cache holds at most 256
+// plans and evicts the least recently used one in O(1). The public
+// Machine API routes every call through it, so repeated configurations
+// compile exactly once.
 //
 // # Bruck replay
 //
@@ -96,7 +111,8 @@
 //     and the Report's (C1, C2) differ (SegmentedIndexCost is the
 //     closed form; Plan.Check proves the segment spans tile each
 //     block).
-//   - Segments is part of the plan cache key like every other option.
+//   - Segments is part of the plan cache key wherever the compiler
+//     reads it; 0 and 1 share one entry.
 //
 // # Asynchronous execution (the bruck.Machine front door)
 //
@@ -130,13 +146,15 @@
 // extents with no padding. A uniform layout — including any all-equal
 // count table, which construction normalizes — compiles to rounds
 // byte-identical to the fixed-size plan's, so uniform V executions are
-// byte- and Report-identical to the flat paths. AutoIndexVPlan and
-// AutoConcatVPlan pick the algorithm and radix per layout by
-// evaluating the linear cost model over the compiled candidates'
-// exact (C1, C2); verdicts are memoized in the cache.
+// byte- and Report-identical to the flat paths. An auto spec with a
+// layout picks the algorithm and radix per layout by evaluating the
+// linear cost model over the compiled candidates' exact (C1, C2);
+// verdicts are memoized in the cache.
 //
 // Plan lifecycle rules (immutability, engine affinity and cache-key
-// completeness are statically enforced by the planlife analyzer,
+// completeness — every Spec field, nested option fields included,
+// reaches the key or carries a //lint:allow planlife reason at its
+// declaration — are statically enforced by the planlife analyzer,
 // internal/analysis/planlife, run via cmd/brucklint; compiled tables
 // are proved well-formed by Plan.Check, run via `bruckctl vet`):
 //
@@ -144,7 +162,7 @@
 //     and group it was compiled for; executing it on another engine is
 //     rejected.
 //   - Layout plans (CompileIndexV/CompileConcatV) additionally bind to
-//     their input layout; PlanCache keys them by the layout's 64-bit
+//     their input layout; the cache keys them by the layout's 64-bit
 //     digest (confirmed with Layout.Equal on every hit — a colliding
 //     digest compiles a fresh uncached plan, never serves the wrong
 //     schedule). Layouts are immutable, so a cached layout plan can
@@ -186,8 +204,8 @@
 //
 // Reduction-plan lifecycle rules, in addition to the plan rules above:
 //
-//   - The kernel is part of the compiled plan: PlanCache keys built-in
-//     kernels by their (op, type) identity, and configurations with an
+//   - The kernel is part of the compiled plan: the cache keys built-in
+//     kernels by their KernelKey (op/type), and configurations with an
 //     anonymous user kernel are compiled fresh on every call and never
 //     cached — the cache cannot tell two functions apart. Callers that
 //     reuse a user kernel should hold the Plan themselves.
@@ -238,20 +256,23 @@
 //     runs of group ranks, and each group's first rank is its leader.
 //     Treat a Topology as immutable once a plan is compiled from it —
 //     the plan holds it by reference, like plans hold their layouts.
-//   - PlanCache keys hierarchical plans by the topology's 64-bit
-//     digest plus the per-level radices (HierOptions), confirming
-//     every digest hit with Topology.Equal; a colliding digest
-//     compiles a fresh uncached plan, never serves the wrong schedule.
-//     Names do not participate: differently named but
-//     parameter-identical topologies share cache entries.
-//   - The flat-vs-hierarchical auto dispatch (autohier.go,
-//     bruck.WithAuto on a topology machine) prices flat candidates at
-//     Topology.FlatTime — every round pays the slowest class — and
-//     hierarchical candidates phase by phase, memoizing the winning
-//     plan under the same digest-keyed scheme. A memoized flat verdict
-//     is served without an Equal check (a flat plan is correct on any
-//     topology of the group's size); trivial topologies (one group, or
-//     all singleton groups) always dispatch flat.
+//   - The cache keys hierarchical plans by the topology's 64-bit
+//     digest plus the index's per-level radices (HierOptions; the
+//     concatenation and allreduce ignore them), confirming every
+//     digest hit with Topology.Equal; a colliding digest compiles a
+//     fresh uncached plan, never serves the wrong schedule. Names do
+//     not participate: differently named but parameter-identical
+//     topologies share cache entries.
+//   - The flat-vs-hierarchical auto dispatch (an auto spec on a
+//     fixed-size plan with a nontrivial topology; bruck.WithAuto on a
+//     topology machine) prices flat candidates at Topology.FlatTime —
+//     every round pays the slowest class — and hierarchical candidates
+//     phase by phase, memoizing the winner under the same digest-keyed
+//     scheme. The flat candidates keep the spec's last-round policy,
+//     so the policy is part of the verdict's key. Trivial topologies
+//     (one group, or all singleton groups) dispatch nothing: a
+//     fixed-size index or concatenation ignores Auto there, and a
+//     reduction is priced with the auto profile as on a flat machine.
 //   - Reductions are AllReduceKind only: the composition reduces each
 //     group onto its leader, reduces across leaders, and broadcasts
 //     back out, yielding the full vector everywhere. A hierarchical

@@ -222,7 +222,7 @@ func hierFan(numGroups int, sizes []int, size func(a int) int, k int) (rounds, c
 func (pl *Plan) roundMaxes() []int {
 	var out []int
 	switch {
-	case pl.op == opIndex && pl.ialg == IndexBruck:
+	case pl.op == OpIndex && pl.ialg == IndexBruck:
 		for _, rd := range pl.rounds {
 			roundMax := 0
 			for _, x := range rd.xfers {
@@ -232,7 +232,7 @@ func (pl *Plan) roundMaxes() []int {
 			}
 			out = append(out, roundMax)
 		}
-	case pl.op == opConcat && pl.calg == ConcatCirculant:
+	case pl.op == OpConcat && pl.calg == ConcatCirculant:
 		if pl.trivial {
 			return []int{pl.blockLen}
 		}
@@ -274,7 +274,7 @@ func CompileHierarchicalIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, top
 		return nil, fmt.Errorf("collective: negative block size %d", blockLen)
 	}
 	n, k, G := g.Size(), e.Ports(), len(h.sizes)
-	pl := &Plan{engine: e, group: g, op: opIndex, blockLen: blockLen, ialg: IndexBruck, hier: h}
+	pl := &Plan{engine: e, group: g, op: OpIndex, blockLen: blockLen, ialg: IndexBruck, hier: h}
 
 	// Phase 1: concurrent intra-group all-to-alls.
 	maxes := make([][]int, 0, G)
@@ -363,7 +363,7 @@ func CompileHierarchicalConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, to
 		return nil, fmt.Errorf("collective: negative block size %d", blockLen)
 	}
 	n, k, G := g.Size(), e.Ports(), len(h.sizes)
-	pl := &Plan{engine: e, group: g, op: opConcat, blockLen: blockLen, calg: ConcatCirculant, hier: h}
+	pl := &Plan{engine: e, group: g, op: OpConcat, blockLen: blockLen, calg: ConcatCirculant, hier: h}
 
 	// Phase 1: concurrent intra-group allgathers.
 	maxes := make([][]int, 0, G)
@@ -462,7 +462,7 @@ func CompileHierarchicalReduce(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind,
 	}
 	n, k, G := g.Size(), e.Ports(), len(h.sizes)
 	vec := n * blockLen
-	pl := &Plan{engine: e, group: g, op: opAllReduce, blockLen: blockLen, combine: opt.Kernel, hier: h}
+	pl := &Plan{engine: e, group: g, op: OpAllReduce, blockLen: blockLen, combine: opt.Kernel, hier: h}
 
 	r, c2 := fanPhase(h.sizes, func(int) int { return vec }, k)
 	h.phases = append(h.phases, hierPhase{name: "reduce", class: mpsim.ClassIntra, rounds: r, c2: c2})
@@ -491,11 +491,11 @@ func CompileHierarchicalReduce(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind,
 // hierBody dispatches a hierarchical plan's per-processor program.
 func (pl *Plan) hierBody(p *mpsim.Proc, in, out []byte) error {
 	switch pl.op {
-	case opIndex:
+	case OpIndex:
 		return pl.hierIndexBody(p, in, out)
-	case opConcat:
+	case OpConcat:
 		return pl.hierConcatBody(p, in, out)
-	case opAllReduce:
+	case OpAllReduce:
 		return pl.hierAllReduceBody(p, in, out)
 	default:
 		return fmt.Errorf("collective: hierarchical plan with unsupported op %v", pl.op)
@@ -1081,7 +1081,7 @@ func (pl *Plan) checkHier(n, k int, add func(string, ...any)) {
 	G := len(h.sizes)
 	remote := func(a int) int { return (n - h.sizes[a]) * b }
 	switch pl.op {
-	case opIndex:
+	case OpIndex:
 		names("intra-alltoall", "gather", "inter-alltoall", "scatter")
 		expectClass(0, mpsim.ClassIntra)
 		expectClass(1, mpsim.ClassIntra)
@@ -1090,14 +1090,14 @@ func (pl *Plan) checkHier(n, k int, add func(string, ...any)) {
 		fr, fv := hierFan(G, h.sizes, remote, k)
 		expectShape(1, fr, fv)
 		expectShape(3, fr, fv)
-	case opConcat:
+	case OpConcat:
 		names("intra-allgather", "inter-allgather", "broadcast")
 		expectClass(0, mpsim.ClassIntra)
 		expectClass(1, mpsim.ClassInter)
 		expectClass(2, mpsim.ClassIntra)
 		fr, fv := hierFan(G, h.sizes, remote, k)
 		expectShape(2, fr, fv)
-	case opAllReduce:
+	case OpAllReduce:
 		names("reduce", "inter-reduce", "inter-broadcast", "broadcast")
 		expectClass(0, mpsim.ClassIntra)
 		expectClass(1, mpsim.ClassInter)
@@ -1118,7 +1118,7 @@ func (pl *Plan) checkHier(n, k int, add func(string, ...any)) {
 	if h.inter != nil {
 		// The inter phase replays the leader-level sub-plan verbatim.
 		for i, ph := range h.phases {
-			if ph.class == mpsim.ClassInter && pl.op != opAllReduce {
+			if ph.class == mpsim.ClassInter && pl.op != OpAllReduce {
 				if ph.rounds != h.inter.c1 || ph.c2 != h.inter.c2 {
 					add("phase %d (%s) is %d rounds / %d bytes, leader-level sub-plan compiles to %d / %d",
 						i, ph.name, ph.rounds, ph.c2, h.inter.c1, h.inter.c2)
@@ -1126,75 +1126,4 @@ func (pl *Plan) checkHier(n, k int, add func(string, ...any)) {
 			}
 		}
 	}
-}
-
-// hierKey builds the cache key of a hierarchical plan: the topology
-// joins the key by digest, confirmed with Topology.Equal on a hit just
-// as layout digests are confirmed with Layout.Equal.
-func hierKey(e *mpsim.Engine, g *mpsim.Group, op planOp, blockLen int, topo *costmodel.Topology, radices string) planCacheKey {
-	return planCacheKey{
-		e: e, g: g, op: op, blockLen: blockLen,
-		radices: radices, topo: topo.Digest(),
-	}
-}
-
-// hierPlanFor resolves one hierarchical cache lookup, mirroring vPlan:
-// a digest hit confirmed by Topology.Equal is served; an unconfirmed
-// hit compiles fresh without caching; a miss compiles and caches.
-func (c *PlanCache) hierPlanFor(key planCacheKey, topo *costmodel.Topology, compile func() (*Plan, error)) (*Plan, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
-	}
-	if pl, ok := c.plans[key]; ok {
-		if pl.hier != nil && pl.hier.topo.Equal(topo) {
-			return pl, nil
-		}
-		return compile()
-	}
-	pl, err := compile()
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// HierIndexPlan returns the cached hierarchical index plan for the
-// configuration, compiling and caching it under the topology's digest
-// on first use.
-func (c *PlanCache) HierIndexPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, topo *costmodel.Topology, opt HierOptions) (*Plan, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
-	}
-	key := hierKey(e, g, opIndex, blockLen, topo, fmt.Sprintf("hier:%d:%d", opt.IntraRadix, opt.InterRadix))
-	return c.hierPlanFor(key, topo, func() (*Plan, error) {
-		return CompileHierarchicalIndex(e, g, blockLen, topo, opt)
-	})
-}
-
-// HierConcatPlan is HierIndexPlan for the hierarchical concatenation.
-func (c *PlanCache) HierConcatPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, topo *costmodel.Topology, opt HierOptions) (*Plan, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
-	}
-	key := hierKey(e, g, opConcat, blockLen, topo, fmt.Sprintf("hier:%d:%d", opt.IntraRadix, opt.InterRadix))
-	return c.hierPlanFor(key, topo, func() (*Plan, error) {
-		return CompileHierarchicalConcat(e, g, blockLen, topo, opt)
-	})
-}
-
-// HierReducePlan is HierIndexPlan for the hierarchical allreduce.
-// Configurations with an anonymous kernel (empty KernelKey) compile
-// fresh on every call and are never cached, as with ReducePlan.
-func (c *PlanCache) HierReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, topo *costmodel.Topology, opt ReduceOptions) (*Plan, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("collective: hierarchical compile requires a topology")
-	}
-	if opt.KernelKey == "" {
-		return CompileHierarchicalReduce(e, g, kind, blockLen, topo, opt)
-	}
-	key := hierKey(e, g, opAllReduce, blockLen, topo, "hier:"+opt.KernelKey)
-	return c.hierPlanFor(key, topo, func() (*Plan, error) {
-		return CompileHierarchicalReduce(e, g, kind, blockLen, topo, opt)
-	})
 }

@@ -318,18 +318,18 @@ func TestHierPlanCacheMemoizes(t *testing.T) {
 	topoA := hierTopo(t, []int{4, 4})
 	topoB := hierTopo(t, []int{4, 4}) // equal value, distinct pointer
 	topoC := hierTopo(t, []int{2, 6})
-	p1, err := c.HierIndexPlan(e, g, b, topoA, HierOptions{})
+	p1, err := c.Plan(e, g, Spec{Op: OpIndex, BlockLen: b, Hier: true, Topology: topoA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.HierIndexPlan(e, g, b, topoB, HierOptions{})
+	p2, err := c.Plan(e, g, Spec{Op: OpIndex, BlockLen: b, Hier: true, Topology: topoB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
 		t.Errorf("equal topologies compiled distinct plans: cache missed")
 	}
-	p3, err := c.HierIndexPlan(e, g, b, topoC, HierOptions{})
+	p3, err := c.Plan(e, g, Spec{Op: OpIndex, BlockLen: b, Hier: true, Topology: topoC})
 	if err != nil {
 		t.Fatal(err)
 	}

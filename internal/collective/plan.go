@@ -28,7 +28,7 @@ import (
 type Plan struct {
 	engine   *mpsim.Engine
 	group    *mpsim.Group
-	op       planOp
+	op       Op
 	blockLen int
 
 	// in/out are the buffers bound by Bind for ExecutePlans; Execute
@@ -105,27 +105,28 @@ type Plan struct {
 	c1lb int
 }
 
-type planOp int
+// Op names the collective operation a plan performs.
+type Op int
 
 const (
-	opIndex planOp = iota
-	opConcat
-	opReduceScatter
-	opAllReduce
+	OpIndex Op = iota
+	OpConcat
+	OpReduceScatter
+	OpAllReduce
 )
 
-func (o planOp) String() string {
+func (o Op) String() string {
 	switch o {
-	case opIndex:
+	case OpIndex:
 		return "index"
-	case opConcat:
+	case OpConcat:
 		return "concat"
-	case opReduceScatter:
+	case OpReduceScatter:
 		return "reduce-scatter"
-	case opAllReduce:
+	case OpAllReduce:
 		return "allreduce"
 	default:
-		return fmt.Sprintf("planOp(%d)", int(o))
+		return fmt.Sprintf("Op(%d)", int(o))
 	}
 }
 
@@ -205,9 +206,9 @@ func (pl *Plan) Algorithm() string {
 		return "hierarchical"
 	}
 	switch pl.op {
-	case opIndex:
+	case OpIndex:
 		return pl.ialg.String()
-	case opReduceScatter, opAllReduce:
+	case OpReduceScatter, OpAllReduce:
 		return pl.ralg.String()
 	default:
 		return pl.calg.String()
@@ -311,7 +312,7 @@ func CompileIndex(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt IndexOption
 	pl := &Plan{
 		engine:   e,
 		group:    g,
-		op:       opIndex,
+		op:       OpIndex,
 		blockLen: blockLen,
 		ialg:     opt.Algorithm,
 		noPack:   opt.NoPack,
@@ -362,7 +363,7 @@ func CompileIndexMixed(e *mpsim.Engine, g *mpsim.Group, blockLen int, radices []
 	pl := &Plan{
 		engine:   e,
 		group:    g,
-		op:       opIndex,
+		op:       OpIndex,
 		blockLen: blockLen,
 		ialg:     IndexBruck,
 	}
@@ -558,7 +559,7 @@ func CompileConcat(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ConcatOpti
 	pl := &Plan{
 		engine:   e,
 		group:    g,
-		op:       opConcat,
+		op:       OpConcat,
 		blockLen: blockLen,
 		calg:     opt.Algorithm,
 		poolHint: blockLen,
@@ -683,9 +684,9 @@ func (pl *Plan) checkBuffers(in, out *buffers.Buffers) error {
 	}
 	wantInBlocks, wantOutBlocks := n, n
 	switch pl.op {
-	case opConcat:
+	case OpConcat:
 		wantInBlocks = 1
-	case opReduceScatter:
+	case OpReduceScatter:
 		wantOutBlocks = 1
 	}
 	if in.Procs() != n || in.Blocks() != wantInBlocks || in.BlockLen() != pl.blockLen {
@@ -747,7 +748,7 @@ func (pl *Plan) checkRagged(in, out *buffers.Ragged) error {
 	if !out.Layout().Equal(pl.outLayout) {
 		return fmt.Errorf("collective: %s plan output layout does not match the plan's output shape (want %dx%d, the input's %s)",
 			pl.op, pl.outLayout.Rows(), pl.outLayout.Cols(),
-			map[planOp]string{opIndex: "transpose", opConcat: "concatenation"}[pl.op])
+			map[Op]string{OpIndex: "transpose", OpConcat: "concatenation"}[pl.op])
 	}
 	return nil
 }
@@ -861,7 +862,7 @@ func (pl *Plan) body(p *mpsim.Proc, in, out *buffers.Buffers) error {
 	}
 	var err error
 	switch pl.op {
-	case opIndex:
+	case OpIndex:
 		switch pl.ialg {
 		case IndexBruck:
 			err = pl.bruckBody(p, in.Proc(me), out.Proc(me))
@@ -870,7 +871,7 @@ func (pl *Plan) body(p *mpsim.Proc, in, out *buffers.Buffers) error {
 		case IndexPairwiseXOR:
 			err = xorIndexFlatBody(p, pl.group, in.Proc(me), out.Proc(me), pl.blockLen)
 		}
-	case opConcat:
+	case OpConcat:
 		switch pl.calg {
 		case ConcatCirculant:
 			err = pl.circulantBody(p, in.Proc(me), out.Proc(me))
@@ -881,9 +882,9 @@ func (pl *Plan) body(p *mpsim.Proc, in, out *buffers.Buffers) error {
 		case ConcatRecursiveDoubling:
 			err = recursiveDoublingConcatFlatBody(p, pl.group, in.Proc(me), out.Proc(me), pl.blockLen)
 		}
-	case opReduceScatter:
+	case OpReduceScatter:
 		err = pl.reduceScatterBody(p, in.Proc(me), out.Proc(me))
-	case opAllReduce:
+	case OpAllReduce:
 		err = pl.allReduceBody(p, in.Proc(me), out.Proc(me))
 	}
 	if err != nil {
@@ -1134,305 +1135,4 @@ func (pl *Plan) replayCirculantRounds(p *mpsim.Proc, acc []byte, bl int) error {
 		}
 	}
 	return nil
-}
-
-// planCacheKey identifies a compiled plan inside a PlanCache. The
-// engine is part of the key — a cache may serve several engines
-// without ever handing one engine's plan (and its k-port schedule and
-// transport) to another. Groups key by pointer identity: callers that
-// reuse a *Group (the common case — Machine.World or a stored NewGroup
-// result) hit the cache, distinct pointers with equal members merely
-// recompile.
-// Layout plans key by the layout's 64-bit digest (v distinguishes a
-// layout plan from a fixed-size plan so digests can never collide with
-// block sizes); a digest hit is confirmed against the stored plan's
-// layout with Equal, and a mismatching hit — an astronomically unlikely
-// digest collision — compiles a fresh uncached plan rather than ever
-// serving the wrong schedule.
-// Hierarchical plans key by the topology's digest the same way (topo;
-// zero for flat plans), confirmed by Topology.Equal on a hit.
-type planCacheKey struct {
-	e        *mpsim.Engine
-	g        *mpsim.Group
-	op       planOp
-	ialg     IndexAlgorithm
-	calg     ConcatAlgorithm
-	ralg     ReduceAlgorithm
-	radix    int
-	radices  string
-	noPack   bool
-	segments int // normalized: 0 for monolithic, AutoSegments kept as-is
-	policy   partition.Policy
-	blockLen int
-	kernel   string // kernel identity of a reduction plan
-	v        bool
-	layout   uint64
-	topo     uint64 // topology digest of a hierarchical plan
-}
-
-// normSegments canonicalizes a segment request for cache keying: 0 and
-// 1 both compile to the monolithic schedule, so they share one entry.
-// AutoSegments stays distinct — its resolution depends only on the
-// keyed (n, blockLen, radix, k) configuration, so caching under the
-// sentinel is consistent.
-func normSegments(s int) int {
-	if s == 1 {
-		return 0
-	}
-	return s
-}
-
-// maxCachedPlans bounds a PlanCache. Schedules are cheap to recompile
-// (microseconds), so when callers churn through configurations — e.g.
-// a fresh ephemeral *Group per request, which never hits the
-// pointer-keyed cache — the cache evicts rather than growing without
-// bound and pinning every dead group.
-const maxCachedPlans = 256
-
-// PlanCache memoizes compiled plans per (engine, op, group, options,
-// block size) configuration, holding at most maxCachedPlans entries
-// (an arbitrary entry is evicted beyond that). Like the engines it
-// serves, a PlanCache is not safe for concurrent use.
-type PlanCache struct {
-	plans map[planCacheKey]*Plan
-}
-
-// NewPlanCache returns an empty cache.
-func NewPlanCache() *PlanCache {
-	return &PlanCache{plans: make(map[planCacheKey]*Plan)}
-}
-
-// Len returns the number of cached plans.
-func (c *PlanCache) Len() int { return len(c.plans) }
-
-// insert stores a compiled plan, evicting an arbitrary entry first if
-// the cache is full.
-func (c *PlanCache) insert(key planCacheKey, pl *Plan) {
-	if len(c.plans) >= maxCachedPlans {
-		for k := range c.plans {
-			delete(c.plans, k)
-			break
-		}
-	}
-	c.plans[key] = pl
-}
-
-// IndexPlan returns the cached plan for the configuration, compiling
-// and caching it on first use.
-func (c *PlanCache) IndexPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt IndexOptions) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opIndex, ialg: opt.Algorithm,
-		radix: opt.Radix, noPack: opt.NoPack,
-		segments: normSegments(opt.Segments), blockLen: blockLen,
-	}
-	if pl, ok := c.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := CompileIndex(e, g, blockLen, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// IndexMixedPlan is IndexPlan for mixed-radix schedules.
-func (c *PlanCache) IndexMixedPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, radices []int) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opIndex, ialg: IndexBruck,
-		radices: fmt.Sprint(radices), blockLen: blockLen,
-	}
-	if pl, ok := c.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := CompileIndexMixed(e, g, blockLen, radices)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// vPlan resolves one layout-plan cache lookup: a digest hit confirmed
-// by Layout.Equal is served as-is; an unconfirmed hit — a digest
-// collision between distinct layouts — compiles fresh without touching
-// the cache, so the wrong schedule is never served; a miss compiles
-// and caches.
-func (c *PlanCache) vPlan(key planCacheKey, l *blocks.Layout, compile func() (*Plan, error)) (*Plan, error) {
-	if l == nil {
-		return nil, fmt.Errorf("collective: nil layout")
-	}
-	if pl, ok := c.plans[key]; ok {
-		if pl.layout.Equal(l) {
-			return pl, nil
-		}
-		return compile()
-	}
-	pl, err := compile()
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// IndexVPlan returns the cached layout plan for the configuration,
-// compiling and caching it under the layout's digest on first use.
-func (c *PlanCache) IndexVPlan(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, opt IndexOptions) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opIndex, ialg: opt.Algorithm,
-		radix: opt.Radix, noPack: opt.NoPack,
-		segments: normSegments(opt.Segments),
-		v:        true, layout: l.Digest(),
-	}
-	return c.vPlan(key, l, func() (*Plan, error) { return CompileIndexV(e, g, l, opt) })
-}
-
-// IndexVMixedPlan is IndexVPlan for mixed-radix schedules.
-func (c *PlanCache) IndexVMixedPlan(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, radices []int) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opIndex, ialg: IndexBruck,
-		radices: fmt.Sprint(radices),
-		v:       true, layout: l.Digest(),
-	}
-	return c.vPlan(key, l, func() (*Plan, error) { return CompileIndexVMixed(e, g, l, radices) })
-}
-
-// ConcatVPlan is IndexVPlan for concatenation schedules.
-func (c *PlanCache) ConcatVPlan(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, opt ConcatOptions) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opConcat, calg: opt.Algorithm,
-		policy: opt.LastRound,
-		v:      true, layout: l.Digest(),
-	}
-	return c.vPlan(key, l, func() (*Plan, error) { return CompileConcatV(e, g, l, opt) })
-}
-
-// ConcatPlan is IndexPlan for concatenation schedules.
-func (c *PlanCache) ConcatPlan(e *mpsim.Engine, g *mpsim.Group, blockLen int, opt ConcatOptions) (*Plan, error) {
-	key := planCacheKey{
-		e: e, g: g, op: opConcat, calg: opt.Algorithm,
-		policy: opt.LastRound, blockLen: blockLen,
-	}
-	if pl, ok := c.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := CompileConcat(e, g, blockLen, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// The cached entry points below mirror the package-level operations but
-// amortize compilation through the cache; the public Machine API routes
-// every call through them, so repeated configurations transparently
-// reuse their plans.
-
-// IndexFlat is the cached counterpart of the package-level IndexFlat.
-func (c *PlanCache) IndexFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt IndexOptions) (*Result, error) {
-	if err := checkFlatShape(e, g, in, out, g.Size()); err != nil {
-		return nil, err
-	}
-	pl, err := c.IndexPlan(e, g, in.BlockLen(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
-}
-
-// IndexMixedFlat is the cached counterpart of the package-level
-// IndexMixedFlat.
-func (c *PlanCache) IndexMixedFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, radices []int) (*Result, error) {
-	if err := checkFlatShape(e, g, in, out, g.Size()); err != nil {
-		return nil, err
-	}
-	pl, err := c.IndexMixedPlan(e, g, in.BlockLen(), radices)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
-}
-
-// ConcatFlat is the cached counterpart of the package-level ConcatFlat.
-func (c *PlanCache) ConcatFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Buffers, opt ConcatOptions) (*Result, error) {
-	n := g.Size()
-	if n == 0 {
-		return nil, fmt.Errorf("collective: empty group")
-	}
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("collective: nil flat buffer")
-	}
-	if in.Procs() != n || in.Blocks() != 1 {
-		return nil, fmt.Errorf("collective: flat concat input is %dx%d blocks, group needs %dx1",
-			in.Procs(), in.Blocks(), n)
-	}
-	pl, err := c.ConcatPlan(e, g, in.BlockLen(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(in, out)
-}
-
-// Index is the cached counterpart of the package-level legacy Index:
-// one copy in, one copy out, compiled schedule in between.
-func (c *PlanCache) Index(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, opt IndexOptions) ([][][]byte, *Result, error) {
-	if err := checkIndexInput(e, g, in); err != nil {
-		return nil, nil, err
-	}
-	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.IndexFlat(e, g, fin, fout, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
-}
-
-// IndexMixed is the cached counterpart of the package-level legacy
-// IndexMixed.
-func (c *PlanCache) IndexMixed(e *mpsim.Engine, g *mpsim.Group, in [][][]byte, radices []int) ([][][]byte, *Result, error) {
-	if err := checkIndexInput(e, g, in); err != nil {
-		return nil, nil, err
-	}
-	fin, err := buffers.FromMatrix(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.IndexMixedFlat(e, g, fin, fout, radices)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
-}
-
-// Concat is the cached counterpart of the package-level legacy Concat.
-func (c *PlanCache) Concat(e *mpsim.Engine, g *mpsim.Group, in [][]byte, opt ConcatOptions) ([][][]byte, *Result, error) {
-	if err := checkConcatInput(g, in); err != nil {
-		return nil, nil, err
-	}
-	fin, err := buffers.FromVector(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	fout, err := buffers.New(g.Size(), g.Size(), fin.BlockLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.ConcatFlat(e, g, fin, fout, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fout.ToMatrix(), res, nil
 }

@@ -103,13 +103,14 @@ type ReduceOptions struct {
 	Radix int
 	// Kernel combines a received partial into the local accumulator.
 	// Required whenever blockLen > 0.
-	Kernel buffers.CombineFunc
+	Kernel buffers.CombineFunc //lint:allow planlife a func is not comparable; KernelKey identifies it in the cache key
 	// ElemSize is the kernel's element width for block-size validation;
 	// 0 skips the divisibility check (raw byte kernels).
-	ElemSize int
+	ElemSize int //lint:allow planlife fixed by the kernel, which KernelKey identifies
 	// KernelKey identifies the kernel for plan caching (the built-in
-	// kernels use "op/type"). Empty marks an uncacheable user kernel:
-	// such configurations compile a fresh plan on every call.
+	// kernels use "op/type", see buffers.KernelKey). Empty marks an
+	// uncacheable user kernel: such configurations compile a fresh plan
+	// on every call.
 	KernelKey string
 	// LastRound is the circulant concatenation's special-range policy
 	// for the AllReduce concatenation phase.
@@ -164,9 +165,9 @@ func CompileReduce(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen in
 	}
 	n := g.Size()
 	k := e.Ports()
-	op := opReduceScatter
+	op := OpReduceScatter
 	if kind == AllReduceKind {
-		op = opAllReduce
+		op = OpAllReduce
 	}
 	pl := &Plan{
 		engine:   e,
@@ -410,121 +411,6 @@ func (pl *Plan) allReduceBody(p *mpsim.Proc, in, out []byte) error {
 	}
 	buffers.RotateUp(out, n, bl, n-me)
 	return nil
-}
-
-// reduceKey builds the cache key of a reduction plan configuration.
-// Option fields the compiled plan ignores are normalized out — the
-// radix for non-Bruck schedules, the last-round policy when there is no
-// concatenation phase — so equivalent configurations share one cache
-// entry instead of fragmenting the bounded cache with identical plans.
-func reduceKey(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions) planCacheKey {
-	op := opReduceScatter
-	if kind == AllReduceKind {
-		op = opAllReduce
-	}
-	radix := opt.Radix
-	if opt.Algorithm != ReduceBruck {
-		radix = 0
-	}
-	segments := opt.Segments
-	if opt.Algorithm != ReduceBruck {
-		segments = 0
-	}
-	policy := opt.LastRound
-	if kind == ReduceScatterKind {
-		policy = 0
-	}
-	//lint:allow planlife Kernel is a func (not comparable) represented by KernelKey; ElemSize only validates block sizes. Empty KernelKey never caches (see ReducePlan).
-	return planCacheKey{
-		e: e, g: g, op: op, ralg: opt.Algorithm, radix: radix,
-		policy: policy, blockLen: blockLen, kernel: opt.KernelKey,
-		segments: normSegments(segments),
-	}
-}
-
-// ReducePlan returns the cached reduction plan for the configuration,
-// compiling and caching it on first use. Configurations with an
-// anonymous user kernel (empty KernelKey) are compiled fresh on every
-// call and never cached — the cache cannot tell two user kernels apart.
-func (c *PlanCache) ReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions) (*Plan, error) {
-	if opt.KernelKey == "" {
-		return CompileReduce(e, g, kind, blockLen, opt)
-	}
-	key := reduceKey(e, g, kind, blockLen, opt)
-	if pl, ok := c.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := CompileReduce(e, g, kind, blockLen, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, pl)
-	return pl, nil
-}
-
-// AutoReducePlan compiles candidate reduce-scatter schedules — the
-// ring, recursive halving where the group size allows it, and the Bruck
-// family at the auto dispatcher's radix candidates — and returns the
-// one minimizing the linear-model time C1*Beta + C2*Tau under the
-// profile, the Section 3.5 dispatch rule applied to the reduction
-// composition (for AllReduceKind every candidate carries the identical
-// concatenation phase, so the verdict is decided by the reduce-scatter
-// phase). The verdict is memoized per (engine, group, kind, block size,
-// kernel, beta, tau), so the steady state of a repeated auto call is a
-// single cache lookup.
-func (c *PlanCache) AutoReducePlan(e *mpsim.Engine, g *mpsim.Group, kind ReduceKind, blockLen int, opt ReduceOptions, p costmodel.Profile) (*Plan, error) {
-	n := g.Size()
-	verdict := reduceKey(e, g, kind, blockLen, opt)
-	// The dispatcher overrides the caller's algorithm, radix and segment
-	// count, so the verdict key normalizes them away entirely.
-	verdict.ralg, verdict.radix, verdict.segments = 0, 0, 0
-	verdict.radices = fmt.Sprintf("auto:%g:%g", p.Beta, p.Tau)
-	cacheable := opt.KernelKey != ""
-	if cacheable {
-		if pl, ok := c.plans[verdict]; ok {
-			return pl, nil
-		}
-	}
-	var best *Plan
-	consider := func(o ReduceOptions) error {
-		pl, err := c.ReducePlan(e, g, kind, blockLen, o)
-		if err != nil {
-			return err
-		}
-		if best == nil || pl.Time(p) < best.Time(p) {
-			best = pl
-		}
-		return nil
-	}
-	ring, halving, bruck := opt, opt, opt
-	ring.Algorithm = ReduceRing
-	if err := consider(ring); err != nil {
-		return nil, err
-	}
-	if intmath.IsPow(2, n) && n > 1 {
-		halving.Algorithm = ReduceHalving
-		if err := consider(halving); err != nil {
-			return nil, err
-		}
-	}
-	// The candidates are all monolithic (Segments is forced to 0): a
-	// pipelined plan's merged-round C2 measure can dip below the volume
-	// bound by multiplexing ports, so comparing it against monolithic
-	// candidates under T = C1*Beta + C2*Tau would over-reward it. The
-	// segment axis has its own cost-model dispatch — WithSegments
-	// (AutoSegments) resolves through OptimalSegments at compile time.
-	bruck.Algorithm = ReduceBruck
-	bruck.Segments = 0
-	for _, r := range candidateRadices(p, n, blockLen, e.Ports()) {
-		bruck.Radix = r
-		if err := consider(bruck); err != nil {
-			return nil, err
-		}
-	}
-	if cacheable {
-		c.insert(verdict, best)
-	}
-	return best, nil
 }
 
 // checkReduceShape validates the flat buffer pair of one reduction

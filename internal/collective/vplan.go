@@ -31,11 +31,9 @@ import (
 
 	"bruck/internal/blocks"
 	"bruck/internal/buffers"
-	"bruck/internal/costmodel"
 	"bruck/internal/intmath"
 	"bruck/internal/lowerbound"
 	"bruck/internal/mpsim"
-	"bruck/internal/partition"
 )
 
 // CompileIndexV compiles the index schedule selected by opt for group g
@@ -69,7 +67,7 @@ func CompileIndexV(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, opt IndexO
 	pl := &Plan{
 		engine:    e,
 		group:     g,
-		op:        opIndex,
+		op:        OpIndex,
 		blockLen:  slot,
 		ialg:      opt.Algorithm,
 		noPack:    opt.NoPack,
@@ -121,7 +119,7 @@ func CompileIndexVMixed(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, radic
 	pl := &Plan{
 		engine:    e,
 		group:     g,
-		op:        opIndex,
+		op:        OpIndex,
 		blockLen:  slot,
 		ialg:      IndexBruck,
 		layout:    l,
@@ -164,7 +162,7 @@ func CompileConcatV(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, opt Conca
 	pl := &Plan{
 		engine:    e,
 		group:     g,
-		op:        opConcat,
+		op:        OpConcat,
 		blockLen:  slot,
 		calg:      opt.Algorithm,
 		layout:    l,
@@ -253,7 +251,7 @@ func (pl *Plan) vbody(p *mpsim.Proc, in, out *buffers.Ragged) error {
 	}
 	var err error
 	switch pl.op {
-	case opIndex:
+	case OpIndex:
 		switch pl.ialg {
 		case IndexBruck:
 			err = pl.bruckVBody(p, in, out)
@@ -262,7 +260,7 @@ func (pl *Plan) vbody(p *mpsim.Proc, in, out *buffers.Ragged) error {
 		case IndexPairwiseXOR:
 			err = pl.xorVBody(p, in, out)
 		}
-	case opConcat:
+	case OpConcat:
 		switch pl.calg {
 		case ConcatCirculant:
 			err = pl.circulantVBody(p, in, out)
@@ -458,159 +456,6 @@ func ConcatVFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Ragged, opt C
 		return nil, fmt.Errorf("collective: nil ragged buffer")
 	}
 	pl, err := CompileConcatV(e, g, in.Layout(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return pl.ExecuteV(in, out)
-}
-
-// AutoIndexVPlan compiles candidate index schedules for the layout and
-// returns the one minimizing the linear-model time C1*Beta + C2*Tau
-// under the profile — the cost-model dispatch rule of Section 3.5
-// generalized to ragged layouts. Candidates are the Bruck family at
-// radices 2 (round-minimal), k+1, the closed-form optimum for the
-// padded slot size, and n, plus the padding-free direct exchange; all
-// go through the cache, so the sweep compiles each candidate at most
-// once per layout.
-func (c *PlanCache) AutoIndexVPlan(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, p costmodel.Profile) (*Plan, error) {
-	n := g.Size()
-	if err := checkIndexLayout(l, n); err != nil {
-		return nil, err
-	}
-	// The verdict itself is memoized under a profile-tagged key, so the
-	// steady state of a repeated auto call is a single cache lookup
-	// rather than a candidate sweep.
-	verdict := autoKey(e, g, opIndex, l, p)
-	if pl, ok := c.plans[verdict]; ok && pl.layout.Equal(l) {
-		return pl, nil
-	}
-	var best *Plan
-	consider := func(pl *Plan, err error) error {
-		if err != nil {
-			return err
-		}
-		if best == nil || pl.Time(p) < best.Time(p) {
-			best = pl
-		}
-		return nil
-	}
-	// The direct exchange is considered first so that an exact model tie
-	// — common on layouts whose largest extent dominates every round,
-	// where padded r=n Bruck and direct coincide — resolves to the
-	// padding-free zero-copy schedule.
-	if n > 1 {
-		if err := consider(c.IndexVPlan(e, g, l, IndexOptions{Algorithm: IndexDirect})); err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range candidateRadices(p, n, l.Max(), e.Ports()) {
-		if err := consider(c.IndexVPlan(e, g, l, IndexOptions{Algorithm: IndexBruck, Radix: r})); err != nil {
-			return nil, err
-		}
-	}
-	c.insert(verdict, best)
-	return best, nil
-}
-
-// autoKey builds the cache key memoizing an auto-dispatch verdict for
-// one (engine, group, op, layout, profile) configuration. The profile
-// enters through its parameters, not its name: two profiles with equal
-// Beta and Tau rank every candidate identically.
-func autoKey(e *mpsim.Engine, g *mpsim.Group, op planOp, l *blocks.Layout, p costmodel.Profile) planCacheKey {
-	return planCacheKey{
-		e: e, g: g, op: op,
-		radices: fmt.Sprintf("auto:%g:%g", p.Beta, p.Tau),
-		v:       true, layout: l.Digest(),
-	}
-}
-
-// AutoConcatVPlan is AutoIndexVPlan for the concatenation: the padded
-// circulant schedule (optimal rounds, padded volume) against the
-// padding-free ring (maximal rounds, exact extents), judged by the
-// linear model. Under the paper's round-max C2 measure the ring's every
-// round still carries the layout's largest block somewhere, so the
-// circulant usually wins on both axes and the ring only takes over at
-// the margins (e.g. special-range C2 penalties under extreme
-// bandwidth-bound profiles); the dispatcher simply reports the model's
-// verdict.
-func (c *PlanCache) AutoConcatVPlan(e *mpsim.Engine, g *mpsim.Group, l *blocks.Layout, p costmodel.Profile, policy partition.Policy) (*Plan, error) {
-	if l == nil {
-		return nil, fmt.Errorf("collective: nil layout")
-	}
-	verdict := autoKey(e, g, opConcat, l, p)
-	verdict.policy = policy
-	if pl, ok := c.plans[verdict]; ok && pl.layout.Equal(l) {
-		return pl, nil
-	}
-	circ, err := c.ConcatVPlan(e, g, l, ConcatOptions{Algorithm: ConcatCirculant, LastRound: policy})
-	if err != nil {
-		return nil, err
-	}
-	ring, err := c.ConcatVPlan(e, g, l, ConcatOptions{Algorithm: ConcatRing})
-	if err != nil {
-		return nil, err
-	}
-	best := circ
-	if ring.Time(p) < circ.Time(p) {
-		best = ring
-	}
-	c.insert(verdict, best)
-	return best, nil
-}
-
-// candidateRadices returns the deduplicated, clamped radix candidate
-// set of the auto dispatcher.
-func candidateRadices(p costmodel.Profile, n, slot, k int) []int {
-	if n <= 2 {
-		return []int{2}
-	}
-	cands := []int{2, k + 1, OptimalRadix(p, n, slot, k, false), n}
-	var out []int
-	for _, r := range cands {
-		if r < 2 {
-			r = 2
-		}
-		if r > n {
-			r = n
-		}
-		dup := false
-		for _, prev := range out {
-			if prev == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// The cached entry points below mirror the fixed-size set on PlanCache:
-// the public Machine API routes IndexV/ConcatV and their Flat variants
-// through them, so repeated layouts transparently reuse their compiled
-// plans under layout-digest keys.
-
-// IndexVFlat is the cached counterpart of the package-level IndexVFlat.
-func (c *PlanCache) IndexVFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Ragged, opt IndexOptions) (*Result, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("collective: nil ragged buffer")
-	}
-	pl, err := c.IndexVPlan(e, g, in.Layout(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return pl.ExecuteV(in, out)
-}
-
-// ConcatVFlat is the cached counterpart of the package-level
-// ConcatVFlat.
-func (c *PlanCache) ConcatVFlat(e *mpsim.Engine, g *mpsim.Group, in, out *buffers.Ragged, opt ConcatOptions) (*Result, error) {
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("collective: nil ragged buffer")
-	}
-	pl, err := c.ConcatVPlan(e, g, in.Layout(), opt)
 	if err != nil {
 		return nil, err
 	}

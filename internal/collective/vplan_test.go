@@ -360,12 +360,12 @@ func TestAutoIndexVPicksModelMinimum(t *testing.T) {
 	}
 
 	profile := costmodel.LowLatency // bandwidth-bound: volume decides
-	best, err := cache.AutoIndexVPlan(e, g, l, profile)
+	best, err := cache.Plan(e, g, Spec{Op: OpIndex, Layout: l, Auto: &profile})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range candidateRadices(profile, n, l.Max(), e.Ports()) {
-		pl, err := cache.IndexVPlan(e, g, l, IndexOptions{Algorithm: IndexBruck, Radix: r})
+		pl, err := cache.Plan(e, g, Spec{Op: OpIndex, Layout: l, Index: IndexOptions{Algorithm: IndexBruck, Radix: r}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func TestAutoIndexVPicksModelMinimum(t *testing.T) {
 			t.Errorf("auto chose time %g but bruck r=%d has %g", best.Time(profile), r, pl.Time(profile))
 		}
 	}
-	direct, err := cache.IndexVPlan(e, g, l, IndexOptions{Algorithm: IndexDirect})
+	direct, err := cache.Plan(e, g, Spec{Op: OpIndex, Layout: l, Index: IndexOptions{Algorithm: IndexDirect}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestAutoIndexVPicksModelMinimum(t *testing.T) {
 	// The same layout under a latency-bound profile flips to a
 	// log-round schedule.
 	latency := costmodel.Profile{Name: "latency", Beta: 1, Tau: 0}
-	best, err = cache.AutoIndexVPlan(e, g, l, latency)
+	best, err = cache.Plan(e, g, Spec{Op: OpIndex, Layout: l, Auto: &latency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,16 +431,16 @@ func TestAutoConcatVDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			circ, err := cache.ConcatVPlan(e, g, l, ConcatOptions{Algorithm: ConcatCirculant})
+			circ, err := cache.Plan(e, g, Spec{Op: OpConcat, Layout: l, Concat: ConcatOptions{Algorithm: ConcatCirculant}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ring, err := cache.ConcatVPlan(e, g, l, ConcatOptions{Algorithm: ConcatRing})
+			ring, err := cache.Plan(e, g, Spec{Op: OpConcat, Layout: l, Concat: ConcatOptions{Algorithm: ConcatRing}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range profiles {
-				got, err := cache.AutoConcatVPlan(e, g, l, p, 0)
+				got, err := cache.Plan(e, g, Spec{Op: OpConcat, Layout: l, Auto: &p})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -455,7 +455,8 @@ func TestAutoConcatVDispatch(t *testing.T) {
 			}
 			// The latency-bound profile must land on the round-optimal
 			// circulant schedule.
-			got, err := cache.AutoConcatVPlan(e, g, l, costmodel.Profile{Name: "latency", Beta: 1, Tau: 0}, 0)
+			latency := costmodel.Profile{Name: "latency", Beta: 1, Tau: 0}
+			got, err := cache.Plan(e, g, Spec{Op: OpConcat, Layout: l, Auto: &latency})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -480,18 +481,18 @@ func TestIndexVPlanCacheLayoutKeys(t *testing.T) {
 	c2 := genRaggedCounts(n, 13)
 	l2, _ := blocks.Ragged(c2)
 
-	p1, err := cache.IndexVPlan(e, g, l1, IndexOptions{})
+	p1, err := cache.Plan(e, g, Spec{Op: OpIndex, Layout: l1, Index: IndexOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1b, err := cache.IndexVPlan(e, g, l1b, IndexOptions{})
+	p1b, err := cache.Plan(e, g, Spec{Op: OpIndex, Layout: l1b, Index: IndexOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p1b {
 		t.Errorf("equal layouts should share a cached plan")
 	}
-	p2, err := cache.IndexVPlan(e, g, l2, IndexOptions{})
+	p2, err := cache.Plan(e, g, Spec{Op: OpIndex, Layout: l2, Index: IndexOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,7 @@ func TestIndexVPlanCacheLayoutKeys(t *testing.T) {
 	if _, err := p1.Execute(fin, fout); err == nil {
 		t.Errorf("layout plan accepted fixed-size buffers")
 	}
-	fixed, err := cache.IndexPlan(e, g, 8, IndexOptions{})
+	fixed, err := cache.Plan(e, g, Spec{Op: OpIndex, BlockLen: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

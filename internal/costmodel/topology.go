@@ -18,7 +18,6 @@ package costmodel
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -292,43 +291,36 @@ func (t *Topology) Spec() string {
 	return strings.Join(parts, ",")
 }
 
-// Digest returns a 64-bit FNV-1a fingerprint of the topology — group
-// shape, both class profiles and the override table (order-
-// independent) — the key under which auto-dispatch verdicts and plans
-// are memoized. Like the layout digest, a hit must be confirmed with
-// Equal before trusting it.
+// Digest returns a 64-bit fingerprint of the topology — group shape,
+// both class profiles and the override table — the key under which
+// auto-dispatch verdicts and plans are memoized. It is FNV-1a over
+// 64-bit words; the overrides enter as a sum of per-override hashes,
+// so their order does not matter, and the digest allocates nothing.
+// Like the layout digest, a hit must be confirmed with Equal before
+// trusting it.
 func (t *Topology) Digest() uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	writeInt := func(v int) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf)
-	}
-	writeFloat := func(f float64) { writeInt(int(math.Float64bits(f))) }
-	writeInt(len(t.Groups))
+	h := mixWord(fnvOffset, uint64(len(t.Groups)))
 	for _, m := range t.Groups {
-		writeInt(m)
+		h = mixWord(h, uint64(m))
 	}
-	writeFloat(t.Intra.Beta)
-	writeFloat(t.Intra.Tau)
-	writeFloat(t.Inter.Beta)
-	writeFloat(t.Inter.Tau)
-	ov := append([]Override(nil), t.Overrides...)
-	sort.Slice(ov, func(i, j int) bool {
-		if ov[i].Src != ov[j].Src {
-			return ov[i].Src < ov[j].Src
-		}
-		return ov[i].Dst < ov[j].Dst
-	})
-	for _, o := range ov {
-		writeInt(o.Src)
-		writeInt(o.Dst)
-		writeFloat(o.Profile.Beta)
-		writeFloat(o.Profile.Tau)
+	h = mixProfile(h, t.Intra)
+	h = mixProfile(h, t.Inter)
+	var ov uint64
+	for _, o := range t.Overrides {
+		ov += mixProfile(mixWord(mixWord(fnvOffset, uint64(o.Src)), uint64(o.Dst)), o.Profile)
 	}
-	return h.Sum64()
+	return mixWord(h, ov)
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func mixWord(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
+
+func mixProfile(h uint64, p Profile) uint64 {
+	return mixWord(mixWord(h, math.Float64bits(p.Beta)), math.Float64bits(p.Tau))
 }
 
 // Equal reports whether two topologies price every link identically:
@@ -336,8 +328,11 @@ func (t *Topology) Digest() uint64 {
 // participate — two differently named but parameter-identical
 // topologies rank every schedule the same way.
 func (t *Topology) Equal(o *Topology) bool {
+	if t == o {
+		return true
+	}
 	if t == nil || o == nil {
-		return t == o
+		return false
 	}
 	if len(t.Groups) != len(o.Groups) || len(t.Overrides) != len(o.Overrides) {
 		return false
